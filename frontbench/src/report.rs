@@ -182,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn declared_counts_match_the_issue() {
+    fn fourteen_end_to_end_and_85_per_layer_metrics() {
         assert_eq!(END_TO_END.len(), 14);
         assert_eq!(per_layer().len(), 85);
         let mut names: Vec<String> = per_layer().into_iter().map(|(n, _)| n).collect();
