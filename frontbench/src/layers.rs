@@ -239,7 +239,7 @@ impl Ctx<'_> {
         for _ in 0..self.reps.pairs {
             let rid = request_id();
             let Some((resp, session_secs)) =
-                self.client.call_as(session, 0, shape, "pair.session", rid)
+                self.client.call_as(session, shape, "pair.session", rid)
             else {
                 continue;
             };
@@ -372,9 +372,9 @@ pub fn run(
 ) -> Metrics {
     let tracer = Tracer::new();
     let submit = workload == Workload::Dashboard;
-    let plain = Client { ledger, watchdog, tracer: None, submit };
-    let traced = Client { ledger, watchdog, tracer: Some(&tracer), submit };
-    let blocking = Client { ledger, watchdog, tracer: None, submit: false };
+    let plain = Client { ledger, watchdog, tracer: None, submit, paired: false };
+    let traced = Client { tracer: Some(&tracer), ..plain };
+    let blocking = Client { submit: false, ..plain };
     let probe_client = Client { tracer: Some(&tracer), submit: false, ..plain };
     let mut ctx = Ctx {
         tracer: &tracer,
@@ -403,14 +403,14 @@ pub fn run(
                 let _ = mirror.plan(&tracer, None, 0, shape);
                 mirror.observe(shape, resp);
             });
-            let (clients, pick): (usize, Box<dyn Fn(usize, u64) -> usize + Sync>) = match workload {
-                Workload::ScanLarge => (1, Box::new(|_, i| (i % 7) as usize)),
-                _ => (2, Box::new(move |c, i| workload::dashboard_pick(seed, c, i))),
+            let pick: Box<dyn Fn(u64) -> usize> = match workload {
+                Workload::ScanLarge => Box::new(|i| (i % 7) as usize),
+                _ => Box::new(move |i| workload::dashboard_pick(seed, i)),
             };
             for k in 0..PHASE_A_SLICES {
                 let (client, out) =
                     if k % 2 == 0 { (&plain, &mut untraced) } else { (&traced, &mut served) };
-                serve::serve_resident(client, &session, &shapes, clients, &*pick, slice, out);
+                serve::serve_resident(client, &session, &shapes, &*pick, slice, out);
             }
             ctx.client.submit = submit;
             for shape in &shapes {

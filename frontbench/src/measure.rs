@@ -23,116 +23,87 @@ pub fn run(
     watchdog: &Watchdog,
 ) -> Metrics {
     let mut served = Served::default();
+    let client = Client {
+        ledger,
+        watchdog,
+        tracer: None,
+        submit: workload == Workload::Dashboard,
+        paired: true,
+    };
     match workload {
         Workload::ScanLarge => {
-            let client = Client { ledger, watchdog, tracer: None, submit: false };
             let shapes = workload::scan_large(seed, scale);
             let session =
                 serve::set_up_resident(&client, &shapes, setup_reps(workload), &mut served);
-            let pick = |_: usize, i: u64| (i % shapes.len() as u64) as usize;
-            serve::serve_resident(&client, &session, &shapes, 1, &pick, seconds, &mut served);
+            let pick = |i: u64| (i % shapes.len() as u64) as usize;
+            serve::serve_resident(&client, &session, &shapes, &pick, seconds, &mut served);
         }
         Workload::Dashboard => {
-            let client = Client { ledger, watchdog, tracer: None, submit: true };
             let shapes = workload::dashboard(seed, scale);
             let session =
                 serve::set_up_resident(&client, &shapes, setup_reps(workload), &mut served);
-            let pick = move |c: usize, i: u64| workload::dashboard_pick(seed, c, i);
-            serve::serve_resident(&client, &session, &shapes, 2, &pick, seconds, &mut served);
+            let pick = move |i: u64| workload::dashboard_pick(seed, i);
+            serve::serve_resident(&client, &session, &shapes, &pick, seconds, &mut served);
         }
         Workload::FreshTables => {
-            let client = Client { ledger, watchdog, tracer: None, submit: false };
             serve::serve_fresh(&client, seed, scale, &mut 0, seconds, 3, &mut served);
         }
     }
-    end_to_end(workload, &served)
+    end_to_end(&served)
 }
 
-/// Width of the throughput windows on the measured clock: long enough
-/// to hold several rounds of scan-large's seven queries.
-fn window_secs(w: Workload) -> f64 {
-    match w {
-        Workload::ScanLarge => 4.0,
-        _ => 2.0,
+/// The median over `samples` of the session's latency divided by its
+/// paired baseline latency.
+fn median_ratio(samples: &[Sample]) -> Option<f64> {
+    let ratios: Vec<f64> = samples
+        .iter()
+        .filter_map(|x| x.base_secs.filter(|b| *b > 0.0).map(|b| x.secs / b))
+        .collect();
+    median(&ratios)
+}
+
+/// A round of the seven families at their median latencies, the
+/// session's over the baseline's: Σ over families of the session's
+/// median ÷ Σ of the paired baseline's median. Unlike [`median_ratio`]
+/// it weighs each family by its time, so the heavy families count
+/// most; medians keep bursts of host contention out of it.
+fn round_ratio(samples: &[Sample]) -> Option<f64> {
+    let (mut session, mut base) = (0.0, 0.0);
+    for f in Family::ALL {
+        let fam: Vec<&Sample> = samples.iter().filter(|x| x.family == f).collect();
+        let secs: Vec<f64> = fam.iter().map(|x| x.secs).collect();
+        let base_secs: Vec<f64> = fam.iter().filter_map(|x| x.base_secs).collect();
+        session += median(&secs)?;
+        base += median(&base_secs)?;
     }
+    (base > 0.0).then(|| session / base)
 }
 
-/// Samples grouped by the full `width`-second window of the measured
-/// clock they completed in; one window of the whole run when it is
-/// shorter than `width`. Returns the windows and their width.
-fn windows(samples: &[Sample], wall: f64, width: f64) -> (Vec<Vec<&Sample>>, f64) {
-    let (n, width) = if wall < width { (1, wall) } else { ((wall / width) as usize, width) };
-    let mut windows: Vec<Vec<&Sample>> = vec![Vec::new(); n];
-    for s in samples {
-        if let Some(w) = windows.get_mut((s.done / width) as usize) {
-            w.push(s);
-        }
-    }
-    (windows, width)
-}
-
-/// The median over the windows of `f(window samples, window seconds)`.
-/// A median of windows keeps a few seconds of host contention from
-/// moving a rate.
-fn windowed(
-    samples: &[Sample],
-    wall: f64,
-    width: f64,
-    f: impl Fn(&[&Sample], f64) -> Option<f64>,
-) -> Option<f64> {
-    let (windows, width) = windows(samples, wall, width);
-    let rates: Vec<f64> = windows.iter().filter_map(|w| f(w, width)).collect();
-    median(&rates)
-}
-
-/// The latency `q`-quantile in ms: the median of the windows' own
-/// quantiles when every window holds at least ten samples beyond it,
-/// else the quantile over all samples.
-fn latency_quantile(samples: &[Sample], wall: f64, width: f64, q: f64) -> Option<f64> {
-    let need = (10.0 / (1.0 - q)).ceil() as usize;
-    let (windows, _) = windows(samples, wall, width);
-    let ms = |w: &[&Sample]| w.iter().map(|x| x.secs * 1e3).collect::<Vec<f64>>();
-    if windows.iter().all(|w| w.len() >= need) {
-        let per_window: Vec<f64> = windows.iter().filter_map(|w| quantile(&ms(w), q)).collect();
-        median(&per_window)
-    } else {
-        quantile(&ms(&samples.iter().collect::<Vec<_>>()), q)
-    }
-}
-
-fn end_to_end(workload: Workload, served: &Served) -> Metrics {
+fn end_to_end(served: &Served) -> Metrics {
     let s = &served.samples;
     let rows: u64 = s.iter().map(|x| x.rows).sum();
     let entries: u64 = s.iter().map(|x| x.entries).sum();
-    let width = window_secs(workload);
     let mut m = Metrics::default();
     let unit = |name: &str| END_TO_END.iter().find(|(n, _)| *n == name).expect("declared").1;
     let mut put = |name: &str, v: Option<f64>| m.put(name, unit(name), v);
     put("setup_s", median(&served.setups));
-    put(
-        "rows_per_s",
-        windowed(s, served.wall, width, |w, _| {
-            let busy: f64 = w.iter().map(|x| x.secs).sum();
-            (busy > 0.0).then(|| w.iter().map(|x| x.rows).sum::<u64>() as f64 / busy)
-        }),
-    );
-    for f in Family::ALL {
-        let fam: Vec<f64> = s.iter().filter(|x| x.family == f).map(|x| x.secs * 1e3).collect();
-        put(&format!("{}_p50_ms", f.name()), median(&fam));
-    }
-    put(
-        "queries_per_s",
-        windowed(s, served.wall, width, |w, secs| (secs > 0.0).then(|| w.len() as f64 / secs)),
-    );
-    put("latency_p50_ms", latency_quantile(s, served.wall, width, 0.5));
-    put("latency_p99_ms", latency_quantile(s, served.wall, width, 0.99));
+    put("latency_vs_baseline", median_ratio(s));
+    put("round_vs_baseline", round_ratio(s));
     put("peak_rss_mb", Some(peak_rss_kb() / 1024.0));
     put(
         "wire_bytes_per_row",
         (rows > 0).then(|| (entries * ENTRY_WIRE_BYTES) as f64 / rows as f64),
     );
+    // Absolute latencies: shown for reading, not reported as metrics,
+    // because they follow the host's speed (see METRICS.md).
+    let ms = |f: &dyn Fn(&Sample) -> Option<f64>| {
+        let v: Vec<f64> = s.iter().filter_map(f).map(|x| x * 1e3).collect();
+        (quantile(&v, 0.5).unwrap_or(0.0), quantile(&v, 0.99).unwrap_or(0.0))
+    };
+    let (session_p50, session_p99) = ms(&|x| Some(x.secs));
+    let (base_p50, base_p99) = ms(&|x| x.base_secs);
     eprintln!(
-        "frontbench: {} samples (per family: {:?}), set-ups {:?} s, {:.3} s measured",
+        "frontbench: {} samples (per family: {:?}), set-ups {:?} s, {:.3} s measured; session p50 {session_p50:.4} ms p99 {session_p99:.4} ms, baseline p50 {base_p50:.4} ms p99 {base_p99:.4} ms",
         s.len(),
         Family::ALL.map(|f| s.iter().filter(|x| x.family == f).count()),
         served.setups,

@@ -3,19 +3,10 @@
 use crate::workload::Family;
 
 /// End-to-end metrics, printed by every measured run (`--trace 0`).
-pub const END_TO_END: [(&str, &str); 14] = [
+pub const END_TO_END: [(&str, &str); 5] = [
     ("setup_s", "s"),
-    ("rows_per_s", "rows/s"),
-    ("filter_p50_ms", "ms"),
-    ("distinct_p50_ms", "ms"),
-    ("skyline_p50_ms", "ms"),
-    ("topn_p50_ms", "ms"),
-    ("groupby_p50_ms", "ms"),
-    ("join_p50_ms", "ms"),
-    ("having_p50_ms", "ms"),
-    ("queries_per_s", "1/s"),
-    ("latency_p50_ms", "ms"),
-    ("latency_p99_ms", "ms"),
+    ("latency_vs_baseline", "x"),
+    ("round_vs_baseline", "x"),
     ("peak_rss_mb", "MB"),
     ("wire_bytes_per_row", "B/row"),
 ];
@@ -182,8 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn fourteen_end_to_end_and_85_per_layer_metrics() {
-        assert_eq!(END_TO_END.len(), 14);
+    fn five_end_to_end_and_85_per_layer_metrics() {
+        assert_eq!(END_TO_END.len(), 5);
         assert_eq!(per_layer().len(), 85);
         let mut names: Vec<String> = per_layer().into_iter().map(|(n, _)| n).collect();
         names.extend(END_TO_END.iter().map(|(n, _)| n.to_string()));

@@ -25,9 +25,9 @@ pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(45);
 pub struct Sample {
     pub family: Family,
     pub secs: f64,
-    /// Completion time on the measured clock: seconds of measured
-    /// stretches before this one plus time into the current stretch.
-    pub done: f64,
+    /// Wall seconds of the baseline engine answering the same request
+    /// right before or after it, when the client pairs requests.
+    pub base_secs: Option<f64>,
     pub rows: u64,
     pub entries: u64,
     pub arm: ChooserArm,
@@ -95,27 +95,27 @@ impl Ledger {
     }
 }
 
-/// Fails the run when any request stays in flight past
+/// Fails the run when the client's request stays in flight past
 /// [`REQUEST_TIMEOUT`], instead of letting a lost ticket stall it.
 pub struct Watchdog {
     base: Instant,
-    /// Per client slot: nanoseconds since `base` when its request was
-    /// sent, or 0 when idle.
-    slots: [AtomicU64; 4],
+    /// Nanoseconds since `base` when the request in flight was sent, or
+    /// 0 when idle.
+    since: AtomicU64,
     stop: AtomicBool,
 }
 
 impl Watchdog {
     pub fn new() -> Watchdog {
-        Watchdog { base: Instant::now(), slots: Default::default(), stop: AtomicBool::new(false) }
+        Watchdog { base: Instant::now(), since: AtomicU64::new(0), stop: AtomicBool::new(false) }
     }
 
-    fn begin(&self, slot: usize) {
-        self.slots[slot].store(self.base.elapsed().as_nanos() as u64 + 1, Ordering::SeqCst);
+    fn begin(&self) {
+        self.since.store(self.base.elapsed().as_nanos() as u64 + 1, Ordering::SeqCst);
     }
 
-    fn end(&self, slot: usize) {
-        self.slots[slot].store(0, Ordering::SeqCst);
+    fn end(&self) {
+        self.since.store(0, Ordering::SeqCst);
     }
 
     /// Poll until [`Watchdog::stop`]; exits the process on a stuck request.
@@ -123,17 +123,15 @@ impl Watchdog {
         while !self.stop.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(50));
             let now = self.base.elapsed().as_nanos() as u64;
-            for (slot, s) in self.slots.iter().enumerate() {
-                let since = s.load(Ordering::SeqCst);
-                if since != 0 && now.saturating_sub(since) > REQUEST_TIMEOUT.as_nanos() as u64 {
-                    eprintln!(
-                        "frontbench: request on client {slot} did not return within {:?}: workload {} seed {}",
-                        REQUEST_TIMEOUT,
-                        ledger.workload.name(),
-                        ledger.seed
-                    );
-                    std::process::exit(3);
-                }
+            let since = self.since.load(Ordering::SeqCst);
+            if since != 0 && now.saturating_sub(since) > REQUEST_TIMEOUT.as_nanos() as u64 {
+                eprintln!(
+                    "frontbench: request did not return within {:?}: workload {} seed {}",
+                    REQUEST_TIMEOUT,
+                    ledger.workload.name(),
+                    ledger.seed
+                );
+                std::process::exit(3);
             }
         }
     }
@@ -151,6 +149,9 @@ pub struct Client<'a> {
     pub tracer: Option<&'a Tracer>,
     /// `submit(..).wait()` instead of `run_blocking`.
     pub submit: bool,
+    /// Time `Cluster::run_baseline` on every measured request, next to
+    /// the session's answer (see [`Client::sample`]).
+    pub paired: bool,
 }
 
 static REQUEST_IDS: AtomicU64 = AtomicU64::new(1);
@@ -173,23 +174,17 @@ pub fn new_session() -> Session {
 }
 
 impl Client<'_> {
-    /// Send one request from client slot `slot`, check its answer, and
-    /// return the response with the client-observed wall time. The
-    /// request is built before the clock starts.
-    pub fn call(
-        &self,
-        session: &Session,
-        slot: usize,
-        shape: &Shape,
-    ) -> Option<(QueryResponse, f64)> {
-        self.call_as(session, slot, shape, "request", request_id())
+    /// Send one request, check its answer, and return the response with
+    /// the client-observed wall time. The request is built before the
+    /// clock starts.
+    pub fn call(&self, session: &Session, shape: &Shape) -> Option<(QueryResponse, f64)> {
+        self.call_as(session, shape, "request", request_id())
     }
 
     /// [`Client::call`], traced (when tracing) as span `name` of request `rid`.
     pub fn call_as(
         &self,
         session: &Session,
-        slot: usize,
         shape: &Shape,
         name: &str,
         rid: u64,
@@ -197,7 +192,7 @@ impl Client<'_> {
         let req = request(shape);
         self.ledger.attempted.fetch_add(1, Ordering::Relaxed);
         let span = self.tracer.map(|t| t.open(name, None, rid));
-        self.watchdog.begin(slot);
+        self.watchdog.begin();
         let t = Instant::now();
         let result = if self.submit {
             session.submit(req).and_then(|t| t.wait())
@@ -205,7 +200,7 @@ impl Client<'_> {
             session.run_blocking(req)
         };
         let secs = t.elapsed().as_secs_f64();
-        self.watchdog.end(slot);
+        self.watchdog.end();
         if let Some(s) = span {
             s.close();
         }
@@ -227,20 +222,40 @@ impl Client<'_> {
         }
     }
 
-    /// [`Client::call`], kept as a measured sample.
-    fn sample(
-        &self,
-        session: &Session,
-        slot: usize,
-        shape: &Shape,
-        clock: (Instant, f64),
-        out: &mut Vec<Sample>,
-    ) {
-        if let Some((resp, secs)) = self.call(session, slot, shape) {
+    /// [`Client::call`], kept as a measured sample. A paired client also
+    /// times the baseline engine on the same request, back to back with
+    /// the session, going first on every other sample so neither side
+    /// always finds the other's data in cache. Both halves of a pair see
+    /// the same host, however fast it runs at that moment.
+    fn sample(&self, session: &Session, shape: &Shape, out: &mut Vec<Sample>) {
+        let base_first = out.len() % 2 == 1;
+        let mut base_secs = None;
+        let mut baseline = || {
+            if self.paired {
+                let t = Instant::now();
+                let run = Cluster::default().run_baseline(
+                    &shape.query,
+                    &shape.left,
+                    shape.right.as_deref(),
+                );
+                base_secs = Some(t.elapsed().as_secs_f64());
+                if run.output != shape.answer {
+                    self.ledger.mismatch(shape.family, "baseline engine output changed on rerun");
+                }
+            }
+        };
+        if base_first {
+            baseline();
+        }
+        let answered = self.call(session, shape);
+        if !base_first {
+            baseline();
+        }
+        if let Some((resp, secs)) = answered {
             out.push(Sample {
                 family: shape.family,
                 secs,
-                done: clock.1 + clock.0.elapsed().as_secs_f64(),
+                base_secs,
                 rows: shape.rows(),
                 entries: resp.breakdown.entries_to_master,
                 arm: resp.arm,
@@ -262,7 +277,7 @@ impl Client<'_> {
         let blocking = Client { submit: false, ..*self };
         for _ in 0..WARMUP_PER_SHAPE {
             for shape in shapes {
-                if let Some((resp, _)) = blocking.call(session, 0, shape) {
+                if let Some((resp, _)) = blocking.call(session, shape) {
                     after(shape, &resp);
                 }
             }
@@ -290,41 +305,28 @@ pub fn set_up_resident(
     session.expect("at least one set-up")
 }
 
-/// Resident workloads: `clients` closed-loop clients for `seconds`.
-/// Client `c` sends `shapes[pick(c, i)]` as its `i`-th request.
+/// Resident workloads: one closed-loop client for `seconds`, sending
+/// `shapes[pick(i)]` as its `i`-th request.
 pub fn serve_resident(
     client: &Client,
     session: &Session,
     shapes: &[Shape],
-    clients: usize,
-    pick: &(dyn Fn(usize, u64) -> usize + Sync),
+    pick: &dyn Fn(u64) -> usize,
     seconds: f64,
     served: &mut Served,
 ) {
     let before = session.stats();
     let rss0 = rss_kb();
-    let offset = served.wall;
+    let n0 = served.samples.len();
     let t0 = Instant::now();
     let deadline = t0 + Duration::from_secs_f64(seconds);
-    let per_client: Vec<Vec<Sample>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = 0u64;
-                    while Instant::now() < deadline {
-                        client.sample(session, c, &shapes[pick(c, i)], (t0, offset), &mut out);
-                        i += 1;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
+    let mut i = 0u64;
+    while Instant::now() < deadline {
+        client.sample(session, &shapes[pick(i)], &mut served.samples);
+        i += 1;
+    }
     served.wall += t0.elapsed().as_secs_f64();
-    let n: usize = per_client.iter().map(Vec::len).sum();
-    served.samples.extend(per_client.into_iter().flatten());
+    let n = served.samples.len() - n0;
     let after = session.stats();
     served.plan_hits += after.plan_hits - before.plan_hits;
     served.plan_misses += after.plan_misses - before.plan_misses;
@@ -365,7 +367,7 @@ pub fn serve_fresh(
         let rss0 = rss_kb();
         let t0 = Instant::now();
         for shape in &measured {
-            client.sample(&session, 0, shape, (t0, served.wall), &mut served.samples);
+            client.sample(&session, shape, &mut served.samples);
         }
         served.wall += t0.elapsed().as_secs_f64();
         served.rss_kb_per_request.push((rss_kb() - rss0) / measured.len() as f64);

@@ -93,8 +93,7 @@ impl Scale {
     }
 }
 
-/// Dashboard tenants; client `c` sends its `i`-th request as tenant
-/// `(2i + c) mod 4`, so each client alternates between two tenants.
+/// Dashboard tenants.
 pub const TENANTS: usize = 4;
 /// Names fresh tables rotate through (part of the session's shape key).
 pub const FRESH_NAMES: [&str; 2] = ["fresh-a", "fresh-b"];
@@ -302,12 +301,19 @@ pub fn dashboard(seed: u64, scale: &Scale) -> Vec<Shape> {
     shapes
 }
 
-/// Which dashboard shape client `client` sends as its `i`-th request:
-/// tenants alternate, families are drawn by seed with repeats.
-pub fn dashboard_pick(seed: u64, client: usize, i: u64) -> usize {
-    let tenant = (2 * i as usize + client) % TENANTS;
-    let family = mix(seed ^ mix((client as u64) << 40 ^ i)) % Family::ALL.len() as u64;
-    tenant * Family::ALL.len() + family as usize
+/// Which dashboard shape the client sends as its `i`-th request. Each
+/// block of 28 consecutive requests sends every shape once, in an order
+/// the seed shuffles per block, so every run's mix holds each family
+/// and tenant in the same proportion.
+pub fn dashboard_pick(seed: u64, i: u64) -> usize {
+    let n = TENANTS * Family::ALL.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut x = mix(seed ^ mix(i / n as u64));
+    for k in (1..n).rev() {
+        x = mix(x);
+        order.swap(k, (x % (k as u64 + 1)) as usize);
+    }
+    order[(i % n as u64) as usize]
 }
 
 /// Row-count bands of fresh tables (see [`fresh_batch`]).
@@ -394,8 +400,7 @@ mod tests {
         let scale = Scale::tiny();
         assert_eq!(fingerprint(&scan_large(7, &scale)), fingerprint(&scan_large(7, &scale)));
         assert_eq!(fingerprint(&dashboard(7, &scale)), fingerprint(&dashboard(7, &scale)));
-        let picks =
-            |seed| (0..64).map(|i| dashboard_pick(seed, (i % 2) as usize, i)).collect::<Vec<_>>();
+        let picks = |seed| (0..64).map(|i| dashboard_pick(seed, i)).collect::<Vec<_>>();
         assert_eq!(picks(7), picks(7));
         let fresh_seq = |seed| fresh_batch(seed, &scale, 0, 14);
         assert_eq!(fingerprint(&fresh_seq(7)), fingerprint(&fresh_seq(7)));
@@ -406,8 +411,7 @@ mod tests {
         let scale = Scale::tiny();
         assert_ne!(fingerprint(&scan_large(7, &scale)), fingerprint(&scan_large(8, &scale)));
         assert_ne!(fingerprint(&dashboard(7, &scale)), fingerprint(&dashboard(8, &scale)));
-        let picks =
-            |seed| (0..64).map(|i| dashboard_pick(seed, (i % 2) as usize, i)).collect::<Vec<_>>();
+        let picks = |seed| (0..64).map(|i| dashboard_pick(seed, i)).collect::<Vec<_>>();
         assert_ne!(picks(7), picks(8));
         let fresh_seq = |seed| fresh_batch(seed, &scale, 0, 14);
         assert_ne!(fingerprint(&fresh_seq(7)), fingerprint(&fresh_seq(8)));
@@ -418,6 +422,9 @@ mod tests {
         let scale = Scale::tiny();
         let shapes = dashboard(3, &scale);
         assert_eq!(shapes.len(), TENANTS * Family::ALL.len());
+        let mut block: Vec<usize> = (28..56).map(|i| dashboard_pick(3, i)).collect();
+        block.sort();
+        assert_eq!(block, (0..28).collect::<Vec<_>>(), "a block sends every shape once");
         for s in &shapes {
             assert_ne!(s.answer, QueryOutput::Count(0), "{:?}", s.family);
             assert_ne!(s.answer, QueryOutput::JoinPairs(0), "{:?}", s.family);
