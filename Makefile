@@ -29,7 +29,7 @@ CROSSOVER_BASELINE ?= ci/crossover_baseline.json
 # itself is gated exactly (it may only ever move down).
 CROSSOVER_TOLERANCE ?= 0.35
 
-.PHONY: build test lint docs bench-compile bench-smoke bench-crossover shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate
+.PHONY: build test lint docs bench-compile bench-smoke bench-crossover frontbench-check shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate
 
 build:
 	cargo build --release
@@ -47,6 +47,13 @@ docs:
 # All criterion benches (incl. the sharding bench) must keep compiling.
 bench-compile:
 	cargo bench --no-run
+
+# The front-door benchmark is a workspace of its own (frontbench/), so
+# `cargo test --workspace` never builds it. This target builds it against
+# the library crates and runs its tests, so an API change that breaks the
+# benchmark fails here (and in CI) instead of at benchmark time.
+frontbench-check:
+	cargo test --release --offline --manifest-path frontbench/Cargo.toml
 
 # The named CI gate: shard equivalence across all seven query variants.
 shard-gate:

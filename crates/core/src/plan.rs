@@ -90,26 +90,59 @@ const RESERVOIR_SALT: u64 = 0x5EED_0F00;
 /// with the `k`-th smallest hash at fraction `u` of the hash space, the
 /// stream carried about `(k - 1) / u` distinct keys. Exact below `k`
 /// distinct keys.
+///
+/// [`offer`](DistinctSketch::offer) is O(1) for almost every key. Once
+/// `k` hashes are held, a hash at or above the largest one cannot enter
+/// the set and is rejected with one comparison. In front of the set sits
+/// a direct-mapped filter of hashes already inserted, so a repeated key
+/// skips the ordered-set lookup. The filter is exact: a hash it names was
+/// inserted, and if that hash has since been evicted, it lies above the
+/// current maximum, which the first rule rejects anyway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctSketch {
     k: usize,
     mins: BTreeSet<u64>,
+    /// Largest hash in `mins` (meaningful once `mins` is non-empty).
+    max: u64,
+    /// `seen[h % SEEN_SLOTS]` holds the last hash inserted into that slot;
+    /// [`SEEN_EMPTY`] marks a slot never written.
+    seen: Box<[u64]>,
 }
+
+/// Slots of the sketch's already-inserted filter (a power of two).
+const SEEN_SLOTS: usize = 512;
+/// Marks an unwritten filter slot. A key hashing to this value bypasses
+/// the filter, so the marker never hides a real hash.
+const SEEN_EMPTY: u64 = 0;
+/// Salt between the routing key and the sketch's hash.
+const SKETCH_SALT: u64 = 0xD15_71C7;
 
 impl DistinctSketch {
     /// A sketch keeping the `k` minimum hash values.
     pub fn new(k: usize) -> Self {
         assert!(k >= 2, "KMV needs k >= 2");
-        Self { k, mins: BTreeSet::new() }
+        Self { k, mins: BTreeSet::new(), max: 0, seen: vec![SEEN_EMPTY; SEEN_SLOTS].into() }
     }
 
     /// Observe one key.
     pub fn offer(&mut self, key: u64) {
-        let h = mix64(key ^ 0xD15_71C7);
-        self.mins.insert(h);
+        let h = mix64(key ^ SKETCH_SALT);
+        if self.mins.len() >= self.k && h >= self.max {
+            return;
+        }
+        let slot = &mut self.seen[h as usize % SEEN_SLOTS];
+        if *slot == h && h != SEEN_EMPTY {
+            return;
+        }
+        *slot = h;
+        if !self.mins.insert(h) {
+            return;
+        }
         if self.mins.len() > self.k {
-            let last = *self.mins.iter().next_back().expect("non-empty");
-            self.mins.remove(&last);
+            self.mins.pop_last();
+            self.max = *self.mins.last().expect("k >= 2 entries");
+        } else {
+            self.max = self.max.max(h);
         }
     }
 
@@ -119,8 +152,7 @@ impl DistinctSketch {
         if self.mins.len() < self.k {
             return self.mins.len() as f64;
         }
-        let kth = *self.mins.iter().next_back().expect("k >= 2 entries");
-        let u = (kth as f64 + 1.0) / (u64::MAX as f64 + 1.0);
+        let u = (self.max as f64 + 1.0) / (u64::MAX as f64 + 1.0);
         (self.k as f64 - 1.0) / u
     }
 }
@@ -398,6 +430,92 @@ mod tests {
         }
         let est = s.estimate();
         assert!((est - 100_000.0).abs() / 100_000.0 < 0.25, "estimate {est}");
+    }
+
+    /// The textbook KMV the sketch replaced: insert every hash into an
+    /// ordered set, drop the largest once it holds `k + 1`.
+    fn naive_kmv(k: usize, keys: impl IntoIterator<Item = u64>) -> (BTreeSet<u64>, f64) {
+        let mut mins = BTreeSet::new();
+        for key in keys {
+            mins.insert(mix64(key ^ SKETCH_SALT));
+            if mins.len() > k {
+                mins.pop_last();
+            }
+        }
+        let estimate = if mins.len() < k {
+            mins.len() as f64
+        } else {
+            let u = (*mins.last().unwrap() as f64 + 1.0) / (u64::MAX as f64 + 1.0);
+            (k as f64 - 1.0) / u
+        };
+        (mins, estimate)
+    }
+
+    fn assert_matches_naive(k: usize, keys: &[u64], what: &str) {
+        let mut sketch = DistinctSketch::new(k);
+        for &key in keys {
+            sketch.offer(key);
+        }
+        let (mins, estimate) = naive_kmv(k, keys.iter().copied());
+        assert_eq!(sketch.mins, mins, "{what}: min set");
+        assert_eq!(sketch.estimate().to_bits(), estimate.to_bits(), "{what}: estimate");
+    }
+
+    /// Inverse of `mix64`, so a test can pick the key behind any hash.
+    fn unmix64(y: u64) -> u64 {
+        let unshift = |y: u64, s: u32| {
+            let mut x = y;
+            for _ in 0..64 / s + 1 {
+                x = y ^ (x >> s);
+            }
+            x
+        };
+        let inverse = |c: u64| {
+            let mut inv = c;
+            for _ in 0..6 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(inv)));
+            }
+            inv
+        };
+        let x = unshift(y, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let x = unshift(x, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(x, 30).wrapping_sub(0x9E37_79B9_7F4A_7C15)
+    }
+
+    #[test]
+    fn sketch_equals_the_naive_kmv_on_seeded_streams() {
+        // All distinct: the set fills, then nearly every key is rejected
+        // by the max comparison.
+        let distinct: Vec<u64> = (0..50_000u64).map(|i| mix64(i ^ 0xA11)).collect();
+        assert_matches_naive(DEFAULT_SKETCH_K, &distinct, "all distinct");
+        // Fewer than k distinct keys, each repeated: only the filter and
+        // the set see them; the estimate stays exact.
+        let few: Vec<u64> = (0..20_000u64).map(|i| mix64(i) % 200).collect();
+        assert_matches_naive(DEFAULT_SKETCH_K, &few, "fewer than k distinct");
+        // Zipf(1) over 100k ranks (log-uniform draws): hot keys repeat
+        // while the tail keeps evicting.
+        let zipf: Vec<u64> = (0..200_000u64)
+            .map(|i| {
+                let u = (mix64(i ^ 0x21BF) >> 11) as f64 / (1u64 << 53) as f64;
+                100_000f64.powf(u) as u64
+            })
+            .collect();
+        assert_matches_naive(DEFAULT_SKETCH_K, &zipf, "zipf");
+        assert_matches_naive(2, &zipf, "zipf, k = 2");
+    }
+
+    #[test]
+    fn a_key_hashing_to_the_filter_marker_is_still_counted() {
+        let key = unmix64(SEEN_EMPTY) ^ SKETCH_SALT;
+        assert_eq!(mix64(key ^ SKETCH_SALT), SEEN_EMPTY);
+        let mut stream = vec![key, key, 5, key];
+        stream.extend(0..1_000u64);
+        stream.push(key);
+        assert_matches_naive(DEFAULT_SKETCH_K, &stream, "marker hash");
+        let mut sketch = DistinctSketch::new(4);
+        sketch.offer(key);
+        assert!(sketch.mins.contains(&SEEN_EMPTY), "the smallest hash must be kept");
+        assert_eq!(sketch.estimate(), 1.0);
     }
 
     #[test]

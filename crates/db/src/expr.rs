@@ -133,6 +133,21 @@ impl DbPredicate {
         }
     }
 
+    /// The same predicate with every column index `c` replaced by
+    /// `map(c)`.
+    pub fn remap(&self, map: &impl Fn(usize) -> usize) -> DbPredicate {
+        match self {
+            DbPredicate::CmpInt { col, op, lit } => {
+                DbPredicate::CmpInt { col: map(*col), op: *op, lit: *lit }
+            }
+            DbPredicate::Like { col, pattern } => {
+                DbPredicate::Like { col: map(*col), pattern: pattern.clone() }
+            }
+            DbPredicate::And(xs) => DbPredicate::And(xs.iter().map(|x| x.remap(map)).collect()),
+            DbPredicate::Or(xs) => DbPredicate::Or(xs.iter().map(|x| x.remap(map)).collect()),
+        }
+    }
+
     /// Does the predicate contain any non-switch-evaluable atom?
     pub fn has_external_atoms(&self) -> bool {
         match self {

@@ -61,6 +61,8 @@ pub use planner::{
     ShardPlanner,
 };
 pub use query::{DbQuery, QueryOutput};
-pub use sharded::{finish_sharded, route_range, ShardSpec, ShardStats, ShardedRun};
+pub use sharded::{
+    finish_sharded, route_range, route_range_projected, ShardSpec, ShardStats, ShardedRun,
+};
 pub use table::{Column, Partition, Table, TableBuilder};
 pub use value::{DataType, Value};

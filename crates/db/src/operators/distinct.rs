@@ -4,7 +4,7 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::encode_key;
+use super::{encode_key, encode_str_key};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -64,7 +64,7 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for DistinctOp {
             Column::Str(v) => {
                 let h = HashFn::from_seed(self.seed);
                 for s in &v[..rows] {
-                    sink(&[h.hash_bytes(s.as_bytes()) >> 1]);
+                    sink(&[encode_str_key(&h, s)]);
                 }
             }
         }

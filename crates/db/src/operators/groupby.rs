@@ -4,7 +4,7 @@
 //! their group's maximum; the master re-aggregates the survivors exactly
 //! by true key value (fingerprint collisions only reduce pruning).
 
-use super::{encode_i64_32, encode_key};
+use super::{encode_i64_32, encode_key, encode_str_key};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -82,7 +82,7 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for GroupByMaxOp {
             Column::Str(keys) => {
                 let h = HashFn::from_seed(self.seed);
                 for r in 0..rows {
-                    sink(&[h.hash_bytes(keys[r].as_bytes()) >> 1, encode_i64_32(vals[r])]);
+                    sink(&[encode_str_key(&h, &keys[r]), encode_i64_32(vals[r])]);
                 }
             }
         }

@@ -75,8 +75,15 @@ pub(crate) fn stream_table<'a>(src: &Tables<'a>, stream: usize) -> &'a Table {
 pub(crate) fn encode_key(seed: u64, v: &Value) -> u64 {
     match v {
         Value::Int(x) => encode_ordered_i64(*x),
-        Value::Str(s) => HashFn::from_seed(seed).hash_bytes(s.as_bytes()) >> 1,
+        Value::Str(s) => encode_str_key(&HashFn::from_seed(seed), s),
     }
+}
+
+/// [`encode_key`] of a string cell, with the seeded hash built once by
+/// the caller: the column-at-a-time encoders call this per row.
+#[inline]
+pub(crate) fn encode_str_key(hash: &HashFn, s: &str) -> u64 {
+    hash.hash_bytes(s.as_bytes()) >> 1
 }
 
 /// Clamped order-preserving 32-bit encoding for aggregate/order columns

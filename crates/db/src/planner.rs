@@ -32,10 +32,10 @@
 
 use crate::engine::Cluster;
 use crate::executor::Tables;
-use crate::operators::encode_key;
+use crate::operators::encode_str_key;
 use crate::query::DbQuery;
 use crate::sharded::{ShardSpec, ShardedRun};
-use crate::table::{Partition, Table, TableBuilder};
+use crate::table::{Column, Table, TableBuilder};
 use crate::value::encode_ordered_i64;
 use cheetah_core::plan::{
     fit_boundaries, max_load_fraction, KeySampler, PlanDecision, PlanReport, ShardCostPoint,
@@ -44,6 +44,7 @@ use cheetah_core::plan::{
 use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_net::MasterIngestModel;
 use cheetah_switch::hash::mix64;
+use cheetah_switch::HashFn;
 
 /// Tuning of the sample-driven shard planner.
 #[derive(Debug, Clone, PartialEq)]
@@ -636,51 +637,72 @@ struct PartitionerChoice {
 // route by" (the sharded layer and the planner both consume it).
 // ---------------------------------------------------------------------
 
-/// The routing key of row `row` of `part` for query `q` on `stream`.
+/// Where a stream's routing keys come from.
 ///
 /// Keyed queries route by their group/join key so each key lives on one
 /// shard (exact key-union and co-partitioned-join merges); TOP N routes by
 /// the order column (order-preserving encoding, so range sharding splits
 /// the value space); scans and skylines route by a row-id hash (pure load
 /// balance — their merges are routing-agnostic).
-fn route_key(
-    q: &DbQuery,
-    seed: u64,
-    stream: usize,
-    part: &Partition,
-    row: usize,
-    global_row: u64,
-) -> u64 {
-    match q {
-        DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => mix64(global_row ^ seed),
-        DbQuery::Distinct { col } => encode_key(seed, &part.column(*col).get(row)),
-        DbQuery::TopN { order_col, .. } => {
-            encode_ordered_i64(part.column(*order_col).as_int().expect("int order col")[row])
-        }
-        DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => {
-            encode_key(seed, &part.column(*key_col).get(row))
-        }
-        DbQuery::Join { left_key, right_key } => {
-            let col = if stream == 0 { *left_key } else { *right_key };
-            encode_key(seed, &part.column(col).get(row))
+enum RouteBy {
+    /// `mix64(global_row ^ seed)`.
+    RowId,
+    /// The column's `encode_key`: ints order-preserving, strings
+    /// fingerprinted.
+    Key(usize),
+    /// An int column, order-preserving.
+    Order(usize),
+}
+
+impl RouteBy {
+    fn of(q: &DbQuery, stream: usize) -> RouteBy {
+        match q {
+            DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => RouteBy::RowId,
+            DbQuery::Distinct { col } => RouteBy::Key(*col),
+            DbQuery::TopN { order_col, .. } => RouteBy::Order(*order_col),
+            DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => {
+                RouteBy::Key(*key_col)
+            }
+            DbQuery::Join { left_key, right_key } => {
+                RouteBy::Key(if stream == 0 { *left_key } else { *right_key })
+            }
         }
     }
 }
 
 /// Every row's routing key for stream `stream`, in row order.
 ///
+/// Keys are derived a column at a time: string keys hash in place, so no
+/// row pays for a cloned [`Value`](crate::Value). Each key equals the
+/// operators' encoding of the row's key cell.
+///
 /// Public because every sharded execution path — the barrier twins here
 /// and in [`crate::sharded`], and the streamed runtime in
 /// `cheetah-runtime` — must route by the *same* keys for the per-operator
 /// merge semantics to hold.
 pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec<u64> {
+    let by = RouteBy::of(q, stream);
+    let hash = HashFn::from_seed(seed);
     let mut keys = Vec::with_capacity(table.rows());
     let mut global_row = 0u64;
     for p in table.partitions() {
-        for r in 0..p.rows() {
-            keys.push(route_key(q, seed, stream, p, r, global_row));
-            global_row += 1;
+        let rows = p.rows() as u64;
+        match by {
+            RouteBy::RowId => {
+                keys.extend((global_row..global_row + rows).map(|g| mix64(g ^ seed)));
+            }
+            RouteBy::Key(c) => match p.column(c) {
+                Column::Int(v) => keys.extend(v.iter().map(|&x| encode_ordered_i64(x))),
+                Column::Str(v) => {
+                    keys.extend(v.iter().map(|s| encode_str_key(&hash, s)));
+                }
+            },
+            RouteBy::Order(c) => {
+                let v = p.column(c).as_int().expect("int order col");
+                keys.extend(v.iter().map(|&x| encode_ordered_i64(x)));
+            }
         }
+        global_row += rows;
     }
     keys
 }
@@ -766,6 +788,82 @@ mod tests {
     use super::*;
     use crate::engine::ExecBreakdown;
     use crate::testutil::test_table;
+
+    /// The per-row routing key derivation `routing_keys` replaced: one
+    /// cloned [`crate::Value`] per row, then `encode_key`.
+    fn route_key_oracle(
+        q: &DbQuery,
+        seed: u64,
+        stream: usize,
+        part: &crate::table::Partition,
+        row: usize,
+        global_row: u64,
+    ) -> u64 {
+        use crate::operators::encode_key;
+        match q {
+            DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => mix64(global_row ^ seed),
+            DbQuery::Distinct { col } => encode_key(seed, &part.column(*col).get(row)),
+            DbQuery::TopN { order_col, .. } => {
+                encode_ordered_i64(part.column(*order_col).as_int().expect("int order col")[row])
+            }
+            DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => {
+                encode_key(seed, &part.column(*key_col).get(row))
+            }
+            DbQuery::Join { left_key, right_key } => {
+                let col = if stream == 0 { *left_key } else { *right_key };
+                encode_key(seed, &part.column(col).get(row))
+            }
+        }
+    }
+
+    fn oracle_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut global_row = 0u64;
+        for p in table.partitions() {
+            for r in 0..p.rows() {
+                keys.push(route_key_oracle(q, seed, stream, p, r, global_row));
+                global_row += 1;
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn routing_keys_equal_the_per_row_oracle() {
+        use crate::expr::{DbPredicate, IntCmp};
+        // Columns: 0 Str, 1 Int, 2 Int. Seven partitions, the last one
+        // shorter, so global row ids cross partition boundaries.
+        let t = test_table(2_500, 7);
+        let single = test_table(300, 1);
+        assert!(t.partitions().len() > 1);
+        let queries = [
+            DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 3 } },
+            DbQuery::Distinct { col: 0 },
+            DbQuery::Distinct { col: 2 },
+            DbQuery::Skyline { cols: vec![1, 2] },
+            DbQuery::TopN { order_col: 1, n: 5 },
+            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+            DbQuery::GroupByMax { key_col: 2, val_col: 1 },
+            DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10 },
+            DbQuery::HavingSum { key_col: 1, val_col: 2, threshold: 10 },
+            DbQuery::Join { left_key: 0, right_key: 0 },
+            DbQuery::Join { left_key: 1, right_key: 2 },
+        ];
+        for seed in [0u64, 7, 0xC43E_7A5E_ED00_0001] {
+            for q in &queries {
+                let streams = if q.is_binary() { 2 } else { 1 };
+                for stream in 0..streams {
+                    for table in [&t, &single] {
+                        assert_eq!(
+                            routing_keys(q, stream, table, seed),
+                            oracle_keys(q, stream, table, seed),
+                            "{q:?} stream {stream} seed {seed:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn plans_are_deterministic_in_seed_and_data() {

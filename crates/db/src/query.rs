@@ -87,6 +87,60 @@ impl DbQuery {
         matches!(self, DbQuery::Join { .. })
     }
 
+    /// The columns of stream `stream`'s table the query reads, ascending
+    /// and deduplicated (empty for a stream the query does not read).
+    ///
+    /// A table cut down to exactly these columns, in this order, answers
+    /// [`DbQuery::projected`] exactly as the full table answers `self`.
+    pub fn columns_read(&self, stream: usize) -> Vec<usize> {
+        let mut cols = match (self, stream) {
+            (DbQuery::FilterCount { pred }, 0) => pred.columns(),
+            (DbQuery::Distinct { col }, 0) => vec![*col],
+            (DbQuery::Skyline { cols }, 0) => cols.clone(),
+            (DbQuery::TopN { order_col, .. }, 0) => vec![*order_col],
+            (DbQuery::GroupByMax { key_col, val_col }, 0)
+            | (DbQuery::HavingSum { key_col, val_col, .. }, 0) => vec![*key_col, *val_col],
+            (DbQuery::Join { left_key, .. }, 0) => vec![*left_key],
+            (DbQuery::Join { right_key, .. }, 1) => vec![*right_key],
+            _ => Vec::new(),
+        };
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// The same query over projected tables: every column index of
+    /// stream `s` renumbered to its position in
+    /// [`columns_read(s)`](DbQuery::columns_read). Column order is kept,
+    /// so the switch program, the pruning counters and the output do not
+    /// change.
+    pub fn projected(&self) -> DbQuery {
+        let read = [self.columns_read(0), self.columns_read(1)];
+        let at = |stream: usize, col: usize| {
+            read[stream].binary_search(&col).expect("the query reads its own columns")
+        };
+        let left = |col: usize| at(0, col);
+        match self {
+            DbQuery::FilterCount { pred } => DbQuery::FilterCount { pred: pred.remap(&left) },
+            DbQuery::Distinct { col } => DbQuery::Distinct { col: left(*col) },
+            DbQuery::Skyline { cols } => {
+                DbQuery::Skyline { cols: cols.iter().map(|&c| left(c)).collect() }
+            }
+            DbQuery::TopN { order_col, n } => DbQuery::TopN { order_col: left(*order_col), n: *n },
+            DbQuery::GroupByMax { key_col, val_col } => {
+                DbQuery::GroupByMax { key_col: left(*key_col), val_col: left(*val_col) }
+            }
+            DbQuery::HavingSum { key_col, val_col, threshold } => DbQuery::HavingSum {
+                key_col: left(*key_col),
+                val_col: left(*val_col),
+                threshold: *threshold,
+            },
+            DbQuery::Join { left_key, right_key } => {
+                DbQuery::Join { left_key: left(*left_key), right_key: at(1, *right_key) }
+            }
+        }
+    }
+
     /// Is the master merge correct under *any* deterministic assignment
     /// of rows to shard runs — including assignments that change mid-run?
     ///
@@ -198,6 +252,65 @@ mod tests {
             !DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 0 }.merge_routing_agnostic()
         );
         assert!(!DbQuery::Join { left_key: 0, right_key: 0 }.merge_routing_agnostic());
+    }
+
+    #[test]
+    fn columns_read_and_projection_of_a_nested_filter() {
+        use crate::expr::{DbPredicate, IntCmp, LikePattern};
+        let q = DbQuery::FilterCount {
+            pred: DbPredicate::Or(vec![
+                DbPredicate::CmpInt { col: 5, op: IntCmp::Gt, lit: 9 },
+                DbPredicate::And(vec![
+                    DbPredicate::Like { col: 2, pattern: LikePattern::parse("a%") },
+                    DbPredicate::CmpInt { col: 5, op: IntCmp::Lt, lit: 3 },
+                    DbPredicate::CmpInt { col: 7, op: IntCmp::Eq, lit: 1 },
+                ]),
+            ]),
+        };
+        assert_eq!(q.columns_read(0), vec![2, 5, 7]);
+        assert!(q.columns_read(1).is_empty());
+        let want = DbQuery::FilterCount {
+            pred: DbPredicate::Or(vec![
+                DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 9 },
+                DbPredicate::And(vec![
+                    DbPredicate::Like { col: 0, pattern: LikePattern::parse("a%") },
+                    DbPredicate::CmpInt { col: 1, op: IntCmp::Lt, lit: 3 },
+                    DbPredicate::CmpInt { col: 2, op: IntCmp::Eq, lit: 1 },
+                ]),
+            ]),
+        };
+        assert_eq!(q.projected(), want);
+    }
+
+    #[test]
+    fn projection_keeps_skyline_dimension_order_and_repeats() {
+        let q = DbQuery::Skyline { cols: vec![2, 1, 2] };
+        assert_eq!(q.columns_read(0), vec![1, 2]);
+        assert_eq!(q.projected(), DbQuery::Skyline { cols: vec![1, 0, 1] });
+    }
+
+    #[test]
+    fn projection_renumbers_each_join_stream_on_its_own() {
+        let q = DbQuery::Join { left_key: 3, right_key: 1 };
+        assert_eq!(q.columns_read(0), vec![3]);
+        assert_eq!(q.columns_read(1), vec![1]);
+        assert_eq!(q.projected(), DbQuery::Join { left_key: 0, right_key: 0 });
+    }
+
+    #[test]
+    fn projection_of_keyed_and_single_column_queries() {
+        let q = DbQuery::HavingSum { key_col: 4, val_col: 1, threshold: -2 };
+        assert_eq!(q.columns_read(0), vec![1, 4]);
+        assert_eq!(q.projected(), DbQuery::HavingSum { key_col: 1, val_col: 0, threshold: -2 });
+        let same = DbQuery::GroupByMax { key_col: 3, val_col: 3 };
+        assert_eq!(same.columns_read(0), vec![3]);
+        assert_eq!(same.projected(), DbQuery::GroupByMax { key_col: 0, val_col: 0 });
+        assert_eq!(
+            DbQuery::TopN { order_col: 6, n: 4 }.projected(),
+            DbQuery::TopN { order_col: 0, n: 4 }
+        );
+        assert_eq!(DbQuery::Distinct { col: 9 }.projected(), DbQuery::Distinct { col: 0 });
+        assert!(DbQuery::Distinct { col: 9 }.columns_read(1).is_empty());
     }
 
     #[test]

@@ -107,13 +107,15 @@ pub struct ShardedRun {
 
 /// Route rows `[lo, hi)` of `table` (by global row index) to
 /// `sharder.shards()` single-partition sub-tables, using the precomputed
-/// per-row routing `keys`. Shards that receive no rows become empty
-/// tables (one empty partition), which the executor handles like any
-/// degenerate input.
+/// per-row routing `keys`. Every column travels; shards that receive no
+/// rows become empty tables (one empty partition), which the executor
+/// handles like any degenerate input.
 ///
-/// Public because the streamed runtime's router dispatches the same
-/// splitting in *rounds* — one routing loop, shared by every twin, so a
-/// cadence or empty-shard fix can never diverge the dataflows.
+/// A thin wrapper over [`route_range_projected`] with every column
+/// selected, so there is one routing loop. Public because the streamed
+/// runtime's router dispatches the same splitting in *rounds* — one
+/// routing loop, shared by every twin, so a cadence or empty-shard fix can
+/// never diverge the dataflows.
 pub fn route_range(
     table: &Table,
     keys: &[u64],
@@ -121,10 +123,33 @@ pub fn route_range(
     lo: usize,
     hi: usize,
 ) -> Vec<Table> {
+    let all: Vec<usize> = (0..table.fields().len()).collect();
+    route_range_projected(table, &all, keys, sharder, lo, hi)
+}
+
+/// The projected router: route rows `[lo, hi)` of `table` like
+/// [`route_range`], but copy only the columns `cols`, in that order. Shard
+/// table `s` has the schema `cols.map(|c| table.fields()[c])`.
+///
+/// Pair it with [`DbQuery::projected`] over
+/// [`DbQuery::columns_read`]: the renumbered query reads the same cells
+/// from the narrow slices as the original reads from the full table, so
+/// outputs, pruning counters and wire accounting are unchanged while the
+/// routing pass and the resident slices pay only for the columns the query
+/// reads. A partition's row count comes from its columns, so with `cols`
+/// empty every shard table has zero rows.
+pub fn route_range_projected(
+    table: &Table,
+    cols: &[usize],
+    keys: &[u64],
+    sharder: &Sharder,
+    lo: usize,
+    hi: usize,
+) -> Vec<Table> {
     let shards = sharder.shards();
+    let fields: Vec<(String, DataType)> = cols.iter().map(|&c| table.fields()[c].clone()).collect();
     let empty_cols = || -> Vec<Column> {
-        table
-            .fields()
+        fields
             .iter()
             .map(|(_, t)| match t {
                 DataType::Int => Column::Int(Vec::new()),
@@ -153,7 +178,7 @@ pub fn route_range(
                 if list.is_empty() {
                     continue;
                 }
-                for (c, dst_col) in out[s].iter_mut().enumerate() {
+                for (dst_col, &c) in out[s].iter_mut().zip(cols) {
                     match (dst_col, p.column(c)) {
                         (Column::Int(dst), Column::Int(src)) => {
                             dst.extend(list.iter().map(|&r| src[r as usize]));
@@ -172,9 +197,7 @@ pub fn route_range(
         }
     }
     out.into_iter()
-        .map(|cols| {
-            Table::from_partition(table.name(), table.fields().to_vec(), Partition::new(cols))
-        })
+        .map(|cols| Table::from_partition(table.name(), fields.clone(), Partition::new(cols)))
         .collect()
 }
 

@@ -11,6 +11,9 @@
 //!    tenant keeps the queue saturated.
 //! 3. **Typed overload** — past the in-flight bound, `submit` returns
 //!    `Error::Overloaded` immediately instead of growing memory.
+//! 4. **No stale layouts** — a table the caller drops takes its routed
+//!    layout with it, and a new table (which may reuse the freed
+//!    address) is answered from its own rows.
 
 mod common;
 
@@ -172,4 +175,26 @@ fn overload_is_a_typed_rejection_not_memory_growth() {
         t.wait().expect("admitted requests still complete under overload");
     }
     assert_eq!(session.stats().rejected, rejections as u64);
+}
+
+/// Property 4: twenty tables built, queried and dropped one after
+/// another. Each answer must equal the baseline on *that* table, and the
+/// layout cache must never hold more entries than there are live tables.
+#[test]
+fn dropped_tables_never_answer_for_their_successors() {
+    let cluster = Cluster::default();
+    let session = Session::new(cluster.clone(), SessionConfig::default());
+    let q = common::all_seven(0).swap_remove(0);
+    let entries = || session.registry().snapshot().gauges["serve.layout_cache.entries"];
+    let rounds = 20u64;
+    for i in 0..rounds {
+        let table = Arc::new(common::gen_table(5_000, 120, 1, 0xD20F ^ i));
+        let want = cluster.run_baseline(&q, &table, None).output;
+        let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&table))).unwrap();
+        assert_eq!(resp.output, want, "table {i} was answered from another table's layout");
+        assert!(entries() <= 1, "table {i}: more layouts than live tables");
+        drop(table);
+    }
+    let evictions = session.registry().snapshot().counters["serve.layout_cache.evictions"];
+    assert_eq!(evictions, rounds - 1, "every dropped table's layout is swept");
 }

@@ -21,8 +21,24 @@
 //!        │   path chooser   │
 //!        └────────┬────────┘
 //!                 ▼
+//!        ┌─────────────────┐   (shape, tables, pins) hit → skip routing
+//!        │  layout cache    │
+//!        └────────┬────────┘
+//!                 ▼
 //!          execution twins ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
+//!
+//! A table the session has not seen costs one pass over the columns its
+//! query reads. A plan miss derives the routing keys once, a column at a
+//! time, and both the planner's sample and the router use those keys.
+//! The router copies only the columns the query reads
+//! ([`DbQuery::columns_read`]) into the shard slices, and both twins run
+//! the query renumbered for them ([`DbQuery::projected`]). The layout
+//! cache holds these projected slices. It is keyed by table identity: an
+//! entry holds a [`Weak`] to each input table, so the table's address
+//! cannot be reused while the entry lives. An entry whose table was
+//! dropped is swept out on the next insert. The cache exports
+//! `serve.layout_cache.entries` and `serve.layout_cache.evictions`.
 //!
 //! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
 //! deadlock rule says anything a job blocks on must be drained by its
@@ -35,8 +51,9 @@ use crate::plan_cache::{CachedPlan, PlanCache, StatsFingerprint};
 use crate::request::QueryRequest;
 use cheetah_core::plan::{PlanDecision, ShardPlan};
 use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, ChooserArm, Cluster, ExecBackend, ExecBreakdown,
-    ExecPath, PathChooser, PlannerConfig, QueryOutput, ShardPlanner, ShardSpec, Sharder, Table,
+    fixed_sharder, route_range_projected, routing_keys, ChooserArm, Cluster, DbQuery, ExecBackend,
+    ExecBreakdown, ExecPath, PathChooser, PlannerConfig, QueryOutput, ShardPlanner, ShardSpec,
+    ShardStats, Sharder, Table,
 };
 use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{PooledExecution, StreamLayout, StreamedExecution};
@@ -44,7 +61,7 @@ use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 
 /// Knobs of one serving session. The defaults serve a small rack: a
@@ -184,13 +201,28 @@ struct SchedState {
     shutdown: bool,
 }
 
-/// One presplit input, reusable across requests: the pooled slices and
+/// One routed input, reusable across requests: the pooled slices and
 /// the streamed layout wrap the *same* `Arc` slices, so the two twins
 /// share one routing pass.
+///
+/// The slices are *projected*: they carry only the columns the request's
+/// query reads ([`DbQuery::columns_read`]), and `query` is that query
+/// renumbered for them ([`DbQuery::projected`]). Both twins run `query`,
+/// so the answer, the pruning counters and the wire accounting equal a
+/// full-width run's while routing and residency pay for the read columns
+/// alone.
+///
+/// The entry holds a [`Weak`] to each input table. The cache keys on the
+/// tables' addresses; while a `Weak` lives, its table's allocation
+/// cannot be reused, so a key can never name a different table. Once the
+/// caller drops a table, the next insert sweeps its entries out.
 struct LayoutEntry {
     /// Generation of the plan this layout was routed under (0 for
     /// pinned-shard layouts, which no plan governs).
     generation: u64,
+    left: Weak<Table>,
+    right: Option<Weak<Table>>,
+    query: DbQuery,
     left_slices: Vec<Arc<Table>>,
     right_slices: Option<Vec<Arc<Table>>>,
     layout: StreamLayout,
@@ -198,14 +230,36 @@ struct LayoutEntry {
     plan: Option<Arc<ShardPlan>>,
 }
 
+impl LayoutEntry {
+    /// Are all the entry's input tables still alive?
+    fn is_live(&self) -> bool {
+        self.left.strong_count() > 0 && self.right.as_ref().is_none_or(|r| r.strong_count() > 0)
+    }
+}
+
+/// `(shape, left table address, right table address, pinned shards)`:
+/// the key of a routed layout. See [`LayoutEntry`] for why an address
+/// is a sound identity here.
+type LayoutKey = (String, usize, usize, usize);
+
 struct Caches {
     plans: PlanCache,
-    /// `(shape, left table ptr, right table ptr, pinned shards)` →
-    /// routed slices. Table pointers stand in for content identity —
-    /// tables are immutable, so a rebuilt table is a new allocation.
-    layouts: HashMap<(String, usize, usize, usize), LayoutEntry>,
+    /// Routed, projected slices per input (see [`LayoutEntry`]).
+    layouts: HashMap<LayoutKey, Arc<LayoutEntry>>,
     /// One bandit per query shape.
     choosers: HashMap<String, PathChooser>,
+}
+
+impl Caches {
+    /// Insert (or replace) a layout, first sweeping out every entry whose
+    /// tables the caller has dropped.
+    fn insert_layout(&mut self, key: LayoutKey, entry: Arc<LayoutEntry>, telemetry: &Telemetry) {
+        let before = self.layouts.len();
+        self.layouts.retain(|_, e| e.is_live());
+        telemetry.layout_evictions.add((before - self.layouts.len()) as u64);
+        self.layouts.insert(key, entry);
+        telemetry.layout_entries.set(self.layouts.len() as i64);
+    }
 }
 
 /// The session's always-on observability handles: one registry, one
@@ -231,6 +285,11 @@ struct Telemetry {
     queue_seconds: Histogram,
     /// `serve.latency_seconds` — per-request queue + execution time.
     latency_seconds: Histogram,
+    /// `serve.layout_cache.entries` — routed layouts held right now.
+    layout_entries: Gauge,
+    /// `serve.layout_cache.evictions` — layouts swept because their
+    /// tables were dropped.
+    layout_evictions: Counter,
 }
 
 impl Telemetry {
@@ -246,6 +305,8 @@ impl Telemetry {
             executing: registry.gauge("serve.executing"),
             queue_seconds: registry.histogram("serve.queue_seconds"),
             latency_seconds: registry.histogram("serve.latency_seconds"),
+            layout_entries: registry.gauge("serve.layout_cache.entries"),
+            layout_evictions: registry.counter("serve.layout_cache.evictions"),
             registry,
         }
     }
@@ -542,7 +603,10 @@ fn execute(
         .histogram(&format!("serve.tenant.{}.queue_seconds", req.tenant))
         .observe(queue_seconds);
 
-    // 1. The shard plan: pinned count, or plan cache, or the planner.
+    // 1. The shard plan: pinned count, or plan cache, or the planner. A
+    // plan miss derives the routing keys; a layout miss below routes by
+    // the same vectors instead of deriving them again.
+    let mut keys: Option<RoutingKeys> = None;
     let mut plan_span = root.child("plan");
     let (decision, plan, generation, plan_cached) = match req.shards {
         Some(_) => {
@@ -567,12 +631,11 @@ fn execute(
                     None => cfg,
                 };
                 drop(caches);
-                let fitted = Arc::new(ShardPlanner::new(cfg).plan(
-                    &req.query,
-                    &req.left,
-                    req.right.as_deref(),
-                    seed,
-                ));
+                // Sample exactly the streams `ShardPlanner::plan` would.
+                let sampled = RoutingKeys::derive(req, req.right.is_some(), seed);
+                let fitted =
+                    Arc::new(ShardPlanner::new(cfg).plan_from_keys(&sampled.slices(), seed));
+                keys = Some(sampled);
                 let mut caches = shared.caches.lock().expect("caches lock");
                 let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
                 (PlanDecision::Planned(fitted.partitioner()), Some(fitted), generation, false)
@@ -612,56 +675,28 @@ fn execute(
         req.right.as_ref().map_or(0, |r| Arc::as_ptr(r) as usize),
         req.shards.unwrap_or(0),
     );
-    let caches_guard = {
+    let cached = {
         let caches = shared.caches.lock().expect("caches lock");
-        let stale = match caches.layouts.get(&layout_key) {
-            Some(e) => e.generation != generation,
-            None => true,
-        };
-        if stale {
-            drop(caches);
+        caches.layouts.get(&layout_key).filter(|e| e.generation == generation).cloned()
+    };
+    let entry = match cached {
+        Some(entry) => entry,
+        None => {
             let mut route_span = exec_span.child("route");
-            let entry = build_layout(shared, req, seed, &decision, plan.clone(), generation)?;
+            let entry =
+                Arc::new(build_layout(shared, req, seed, &decision, plan, generation, keys));
             route_span.attr("shards", entry.left_slices.len());
             route_span.finish();
             let mut caches = shared.caches.lock().expect("caches lock");
-            caches.layouts.insert(layout_key.clone(), entry);
-            caches
-        } else {
-            caches
+            caches.insert_layout(layout_key, Arc::clone(&entry), &shared.telemetry);
+            entry
         }
     };
-    let (left_slices, right_slices, layout, decision, plan) = {
-        let e = caches_guard.layouts.get(&layout_key).expect("just ensured");
-        (
-            e.left_slices.clone(),
-            e.right_slices.clone(),
-            e.layout.clone(),
-            e.decision,
-            e.plan.clone(),
-        )
-    };
-    drop(caches_guard);
 
     let cluster = shared.cluster.clone().with_backend(arm.backend);
-    let owned_plan = plan.as_deref().cloned();
     let run_result = {
         let _in_exec = exec_span.enter();
-        match arm.path {
-            ExecPath::BarrierPooled => cluster
-                .run_cheetah_presplit(
-                    &req.query,
-                    &left_slices,
-                    right_slices.as_deref(),
-                    &shared.cfg.ingest,
-                    decision,
-                    owned_plan,
-                )
-                .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
-            ExecPath::StreamedResident => cluster
-                .run_cheetah_streamed_resident(&req.query, &layout)
-                .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
-        }
+        run_arm(&cluster, &shared.cfg.ingest, &entry, arm)
     };
     let (output, per_shard, mut breakdown, switch_stats) = run_result?;
     let entries: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
@@ -702,7 +737,33 @@ fn execute(
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace })
 }
 
-/// Route the request's tables once; both twins run off these slices.
+/// One request's routing keys, derived at most once per request.
+struct RoutingKeys {
+    left: Vec<u64>,
+    right: Option<Vec<u64>>,
+}
+
+impl RoutingKeys {
+    /// The left stream's keys, plus the right table's when `with_right`.
+    fn derive(req: &QueryRequest, with_right: bool, seed: u64) -> RoutingKeys {
+        RoutingKeys {
+            left: routing_keys(&req.query, 0, &req.left, seed),
+            right: req
+                .right
+                .as_ref()
+                .filter(|_| with_right)
+                .map(|r| routing_keys(&req.query, 1, r, seed)),
+        }
+    }
+
+    fn slices(&self) -> Vec<&[u64]> {
+        std::iter::once(self.left.as_slice()).chain(self.right.as_deref()).collect()
+    }
+}
+
+/// Route the request's tables once, projected to the columns its query
+/// reads; both twins run off these slices. `keys` are the plan miss's
+/// routing keys, when this request derived them.
 fn build_layout(
     shared: &Shared,
     req: &QueryRequest,
@@ -710,35 +771,35 @@ fn build_layout(
     decision: &PlanDecision,
     plan: Option<Arc<ShardPlan>>,
     generation: u64,
-) -> Result<LayoutEntry> {
-    let left_keys = routing_keys(&req.query, 0, &req.left, seed);
-    let right_keys = match (&req.right, req.query.is_binary()) {
-        (Some(r), true) => Some(routing_keys(&req.query, 1, r, seed)),
-        _ => None,
-    };
+    keys: Option<RoutingKeys>,
+) -> LayoutEntry {
+    let binary = req.query.is_binary();
+    let keys = keys.unwrap_or_else(|| RoutingKeys::derive(req, binary, seed));
+    let right_keys = keys.right.as_deref().filter(|_| binary);
     let sharder: Sharder = match &plan {
         Some(p) => p.sharder.clone(),
         None => {
             let spec =
                 ShardSpec::new(req.shards.unwrap_or(1), cheetah_core::ShardPartitioner::Hash);
-            let mut key_slices: Vec<&[u64]> = vec![&left_keys];
-            if let Some(rk) = &right_keys {
-                key_slices.push(rk);
-            }
+            let key_slices: Vec<&[u64]> =
+                std::iter::once(keys.left.as_slice()).chain(right_keys).collect();
             fixed_sharder(&spec, seed, &key_slices)
         }
     };
-    let left_slices: Vec<Arc<Table>> =
-        route_range(&req.left, &left_keys, &sharder, 0, req.left.rows())
+    let split = |stream: usize, table: &Table, keys: &[u64]| -> Vec<Arc<Table>> {
+        let mut cols = req.query.columns_read(stream);
+        if cols.is_empty() {
+            // A query reading no column (an empty conjunction) still
+            // needs the row count, which columns carry.
+            cols = (0..table.fields().len()).collect();
+        }
+        route_range_projected(table, &cols, keys, &sharder, 0, table.rows())
             .into_iter()
             .map(Arc::new)
-            .collect();
-    let right_slices: Option<Vec<Arc<Table>>> = match (&req.right, &right_keys) {
-        (Some(r), Some(rk)) => {
-            Some(route_range(r, rk, &sharder, 0, r.rows()).into_iter().map(Arc::new).collect())
-        }
-        _ => None,
+            .collect()
     };
+    let left_slices = split(0, &req.left, &keys.left);
+    let right_slices = req.right.as_deref().zip(right_keys).map(|(r, rk)| split(1, r, rk));
     let layout = StreamLayout::from_units(
         vec![left_slices.clone()],
         right_slices.clone(),
@@ -748,7 +809,44 @@ fn build_layout(
         None,
         None,
     );
-    Ok(LayoutEntry { generation, left_slices, right_slices, layout, decision: *decision, plan })
+    LayoutEntry {
+        generation,
+        left: Arc::downgrade(&req.left),
+        right: req.right.as_ref().map(Arc::downgrade),
+        query: req.query.projected(),
+        left_slices,
+        right_slices,
+        layout,
+        decision: *decision,
+        plan,
+    }
+}
+
+/// What one twin's run hands back to the session.
+type ArmRun = (QueryOutput, Vec<ShardStats>, ExecBreakdown, ProgramStats);
+
+/// Run `entry`'s projected query through `arm`'s execution twin.
+fn run_arm(
+    cluster: &Cluster,
+    ingest: &MasterIngestModel,
+    entry: &LayoutEntry,
+    arm: ChooserArm,
+) -> cheetah_core::Result<ArmRun> {
+    match arm.path {
+        ExecPath::BarrierPooled => cluster
+            .run_cheetah_presplit(
+                &entry.query,
+                &entry.left_slices,
+                entry.right_slices.as_deref(),
+                ingest,
+                entry.decision,
+                entry.plan.as_deref().cloned(),
+            )
+            .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
+        ExecPath::StreamedResident => cluster
+            .run_cheetah_streamed_resident(&entry.query, &entry.layout)
+            .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
+    }
 }
 
 /// The arm to pull: fully pinned requests get exactly what they asked
@@ -788,7 +886,9 @@ fn pick_arm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, TableBuilder, Value};
+    use cheetah_db::{
+        route_range, DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value,
+    };
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -810,6 +910,145 @@ mod tests {
             ]);
         }
         Arc::new(b.build())
+    }
+
+    /// Five columns, two of them strings; `alias` shares `key`'s value
+    /// space so a join across the two columns matches.
+    fn wide_table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
+        let mut b = TableBuilder::new(
+            "wide",
+            vec![
+                ("key".into(), DataType::Str),
+                ("a".into(), DataType::Int),
+                ("alias".into(), DataType::Str),
+                ("b".into(), DataType::Int),
+                ("c".into(), DataType::Int),
+            ],
+            rows.div_ceil(parts).max(1),
+        );
+        let mut x = seed | 1;
+        for i in 0..rows {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            b.push_row(vec![
+                Value::Str(format!("key-{}", (x >> 20) % 41)),
+                Value::Int((x % 10_000) as i64),
+                Value::Str(format!("key-{}", (x >> 40) % 53)),
+                Value::Int((i % 700) as i64),
+                Value::Int(((x >> 8) % 900) as i64),
+            ]);
+        }
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn projected_layouts_run_like_full_width_presplit() {
+        let cluster = Cluster::default();
+        let seed = cluster.tuning.seed;
+        let ingest = SessionConfig::default().ingest;
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let (left, right) = (wide_table(3_000, 3, 1), wide_table(700, 2, 2));
+        let queries = [
+            DbQuery::FilterCount {
+                pred: DbPredicate::Or(vec![
+                    DbPredicate::CmpInt { col: 4, op: IntCmp::Gt, lit: 800 },
+                    DbPredicate::And(vec![
+                        DbPredicate::CmpInt { col: 1, op: IntCmp::Lt, lit: 2_000 },
+                        DbPredicate::Like { col: 2, pattern: LikePattern::parse("key-1%") },
+                    ]),
+                ]),
+            },
+            DbQuery::Distinct { col: 2 },
+            DbQuery::Skyline { cols: vec![4, 1, 4] },
+            DbQuery::TopN { order_col: 3, n: 9 },
+            DbQuery::GroupByMax { key_col: 2, val_col: 4 },
+            DbQuery::Join { left_key: 0, right_key: 2 },
+            DbQuery::HavingSum { key_col: 0, val_col: 3, threshold: 30_000 },
+        ];
+        for q in queries {
+            let right_of = q.is_binary().then(|| Arc::clone(&right));
+            let request = || {
+                let req = QueryRequest::new(q.clone(), Arc::clone(&left));
+                match &right_of {
+                    Some(r) => req.with_right(Arc::clone(r)),
+                    None => req,
+                }
+            };
+            let plan = ShardPlanner::default().plan(&q, &left, right_of.as_deref(), seed);
+            let decision = PlanDecision::Planned(plan.partitioner());
+            // The full-width reference: every column routed, the query
+            // as written.
+            let split = |stream: usize, t: &Table| -> Vec<Arc<Table>> {
+                let keys = routing_keys(&q, stream, t, seed);
+                route_range(t, &keys, &plan.sharder, 0, t.rows())
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect()
+            };
+            let full_left = split(0, &left);
+            let full_right = right_of.as_deref().map(|r| split(1, r));
+            let entry = build_layout(
+                &session.shared,
+                &request(),
+                seed,
+                &decision,
+                Some(Arc::new(plan.clone())),
+                1,
+                None,
+            );
+            assert!(entry.left_slices[0].fields().len() < left.fields().len(), "{q:?}");
+            for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+                let cluster = cluster.clone().with_backend(backend);
+                let full = cluster
+                    .run_cheetah_presplit(
+                        &q,
+                        &full_left,
+                        full_right.as_deref(),
+                        &ingest,
+                        decision,
+                        Some(plan.clone()),
+                    )
+                    .unwrap();
+                let full_entries: Vec<u64> =
+                    full.per_shard.iter().map(|s| s.entries_to_master).collect();
+                for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
+                    let arm = ChooserArm { path, backend };
+                    let what = format!("{} on {}", q.kind(), arm.label());
+                    let (output, per_shard, _, stats) =
+                        run_arm(&cluster, &ingest, &entry, arm).unwrap();
+                    assert_eq!(output, full.output, "{what}");
+                    assert_eq!(stats, full.switch_stats, "{what}");
+                    let entries: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
+                    assert_eq!(entries, full_entries, "{what}");
+                    // The front door itself, pinned to this arm.
+                    let resp = session.run_blocking(request().path(path).backend(backend)).unwrap();
+                    assert_eq!(resp.output, full.output, "session {what}");
+                    assert_eq!(resp.switch_stats, full.switch_stats, "session {what}");
+                    assert_eq!(resp.breakdown.entries_to_master, full.breakdown.entries_to_master);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_layout_for_a_query_reading_no_column_keeps_every_row() {
+        // An empty conjunction reads no column. A projection to no column
+        // would carry no rows, so the layout keeps the full width.
+        let cluster = Cluster::default();
+        let t = wide_table(900, 2, 3);
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let q = DbQuery::FilterCount { pred: DbPredicate::And(Vec::new()) };
+        assert!(q.columns_read(0).is_empty());
+        let entry = build_layout(
+            &session.shared,
+            &QueryRequest::new(q, Arc::clone(&t)).shards(3),
+            cluster.tuning.seed,
+            &PlanDecision::Fixed(cheetah_core::ShardPartitioner::Hash),
+            None,
+            0,
+            None,
+        );
+        assert_eq!(entry.left_slices.iter().map(|s| s.rows()).sum::<usize>(), 900);
+        assert_eq!(entry.left_slices[0].fields(), t.fields());
     }
 
     #[test]
