@@ -65,9 +65,10 @@ shard-gate:
 planner-gate:
 	cargo test -q -p cheetah-db --test planner_contract
 
-# The named CI gate: streamed-runtime contract — run_cheetah_streamed
-# bit-identical to baseline across all seven variants x the adversarial
-# workload family x shards {1,2,7}, including a forced mid-run re-plan.
+# The named CI gate: streamed-runtime contract — the streamed executor
+# over route_once layouts bit-identical to baseline across all seven
+# variants x the adversarial workload family x shards {1,2,7}; multi-round
+# layouts exact for routing-agnostic families and refused for HAVING/JOIN.
 runtime-gate:
 	cargo test -q -p cheetah-db --test runtime_contract
 

@@ -1,10 +1,12 @@
 //! Criterion benchmarks of the sharded execution layer: the same query on
-//! the same data at 1/2/4/8 shards, hash vs range routing. The interesting
-//! curve is worker-phase shrinkage vs merge overhead — the §4.6 trade the
-//! `shards` experiment sweeps at report granularity.
+//! the same data at 1/2/4/8 shards, hash vs range routing, routed once and
+//! run on the pooled barrier executor. The interesting curve is
+//! worker-phase shrinkage vs merge overhead — the §4.6 trade the `shards`
+//! experiment sweeps at report granularity.
 
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec};
+use cheetah_runtime::{route_once, Sharding};
 use cheetah_workloads::SkewedTableConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -27,15 +29,20 @@ fn bench_sharding(c: &mut Criterion) {
     g.bench_function("unsharded", |b| {
         b.iter(|| black_box(cluster.run_cheetah(&q, &table, None).unwrap()))
     });
+    let seed = cluster.tuning.seed;
+    let route = |shards, partitioner| {
+        let spec = Sharding::Fixed(ShardSpec::new(shards, partitioner));
+        route_once(&q, &table, None, seed, spec, None)
+    };
     for shards in [1usize, 2, 4, 8] {
-        let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
+        let routed = route(shards, ShardPartitioner::Hash);
         g.bench_function(format!("hash_{shards}shards"), |b| {
-            b.iter(|| black_box(cluster.run_cheetah_sharded(&q, &table, None, &spec).unwrap()))
+            b.iter(|| black_box(routed.run_pooled(&cluster).unwrap()))
         });
     }
-    let range = ShardSpec::new(4, ShardPartitioner::Range);
+    let range = route(4, ShardPartitioner::Range);
     g.bench_function("range_4shards", |b| {
-        b.iter(|| black_box(cluster.run_cheetah_sharded(&q, &table, None, &range).unwrap()))
+        b.iter(|| black_box(range.run_pooled(&cluster).unwrap()))
     });
     g.finish();
 }

@@ -2,9 +2,9 @@
 //! planner-adversarial workloads, the UCB1 bandit picking which
 //! (execution path × pruning backend) arm runs each round.
 //!
-//! Layout is resident, as everywhere else in the harness: routing keys,
-//! the fitted sharder, the shard split, and the stream layout are built
-//! once per workload; each round pays only execution, so the costs the
+//! Layout is resident, as everywhere else in the harness: the workload is
+//! routed once (`route_once`) and both paths run the same slices; each
+//! round pays only execution, so the costs the
 //! bandit observes are the costs the arms actually differ on. A
 //! round-robin reference phase (every arm played the same number of
 //! times) establishes each arm's mean completion cost independently of
@@ -15,14 +15,10 @@
 use crate::report::secs;
 use crate::{Report, RunCtx, Scale};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, ChooserArm, Cluster, DbQuery, ExecBackend, ExecPath,
-    PathChooser, PlanDecision, ShardSpec, Table,
-};
+use cheetah_db::{ChooserArm, Cluster, DbQuery, ExecBackend, ExecPath, PathChooser, ShardSpec};
 use cheetah_net::ExecBreakdown;
-use cheetah_runtime::{PooledExecution, StreamLayout, StreamSpec, StreamedExecution};
+use cheetah_runtime::{route_once, RoutedLayout, Sharding};
 use cheetah_workloads::PlannerAdversary;
-use std::sync::Arc;
 
 /// Link rate the chooser prices completions over — the crossover gate's
 /// 10G, so arm costs line up with the rest of the harness.
@@ -31,15 +27,12 @@ pub const CHOOSER_LINK_GBPS: f64 = 10.0;
 /// Shards every arm runs on.
 const CHOOSER_SHARDS: usize = 4;
 
-/// One workload held resident: both cluster twins, the pre-split shards
-/// for the barrier arms, and the stream layout for the streamed arms.
+/// One workload held resident: both cluster backends and the routed
+/// layout every arm runs.
 struct ResidentWorkload {
-    q: DbQuery,
     interp: Cluster,
     compiled: Cluster,
-    spec: ShardSpec,
-    shards: Vec<Arc<Table>>,
-    layout: StreamLayout,
+    routed: RoutedLayout,
 }
 
 impl ResidentWorkload {
@@ -48,15 +41,9 @@ impl ResidentWorkload {
         let interp = Cluster::default();
         let compiled = interp.clone().with_backend(ExecBackend::Compiled);
         let table = adversary.table(rows, CHOOSER_SHARDS, seed);
-        let spec = ShardSpec::new(CHOOSER_SHARDS, ShardPartitioner::Hash);
-        let keys = routing_keys(&q, 0, &table, interp.tuning.seed);
-        let sharder = fixed_sharder(&spec, interp.tuning.seed, &[&keys]);
-        let shards: Vec<Arc<Table>> = route_range(&table, &keys, &sharder, 0, table.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let layout = interp.plan_stream(&q, &table, None, &StreamSpec::fixed(spec));
-        Self { q, interp, compiled, spec, shards, layout }
+        let spec = Sharding::Fixed(ShardSpec::new(CHOOSER_SHARDS, ShardPartitioner::Hash));
+        let routed = route_once(&q, &table, None, interp.tuning.seed, spec, None);
+        Self { interp, compiled, routed }
     }
 
     /// Execute one round on `arm` and return its breakdown.
@@ -66,24 +53,9 @@ impl ResidentWorkload {
             ExecBackend::Compiled => &self.compiled,
         };
         match arm.path {
-            ExecPath::BarrierPooled => {
-                cluster
-                    .run_cheetah_presplit(
-                        &self.q,
-                        &self.shards,
-                        None,
-                        &self.spec.ingest,
-                        PlanDecision::Fixed(self.spec.partitioner),
-                        None,
-                    )
-                    .expect("plan fits")
-                    .breakdown
-            }
+            ExecPath::BarrierPooled => self.routed.run_pooled(cluster).expect("fits").breakdown,
             ExecPath::StreamedResident => {
-                cluster
-                    .run_cheetah_streamed_resident(&self.q, &self.layout)
-                    .expect("fits")
-                    .breakdown
+                self.routed.run_streamed(cluster).expect("fits").breakdown
             }
         }
     }

@@ -13,7 +13,8 @@
 use crate::report::secs;
 use crate::{Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec, ShardedRun, Tables};
+use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec, ShardedRun, Table, Tables};
+use cheetah_runtime::{route_once, Sharding};
 use cheetah_workloads::PlannerAdversary;
 
 const LINK_GBPS: f64 = 10.0;
@@ -25,10 +26,20 @@ fn completion(run: &ShardedRun) -> f64 {
     run.breakdown.completion_seconds(LINK_GBPS)
 }
 
-fn best_of<F: FnMut() -> ShardedRun>(mut f: F) -> ShardedRun {
-    let mut best = f();
+/// Route `q` once under `sharding`, then run the pooled executor
+/// best-of-[`REPS`] over the resident slices.
+fn best_of(
+    cluster: &Cluster,
+    q: &DbQuery,
+    left: &Table,
+    right: Option<&Table>,
+    sharding: Sharding,
+) -> ShardedRun {
+    let routed = route_once(q, left, right, cluster.tuning.seed, sharding, None);
+    let run = || routed.run_pooled(cluster).expect("plan fits");
+    let mut best = run();
     for _ in 1..REPS {
-        let next = f();
+        let next = run();
         if completion(&next) < completion(&best) {
             best = next;
         }
@@ -72,10 +83,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         let mut worst: Option<(String, f64)> = None;
         for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
             for &n in &ctx.shards {
-                let spec = ShardSpec::new(n, partitioner);
-                let run = best_of(|| {
-                    cluster.run_cheetah_sharded(q, &table, right_of, &spec).expect("plan fits")
-                });
+                let spec = Sharding::Fixed(ShardSpec::new(n, partitioner));
+                let run = best_of(&cluster, q, &table, right_of, spec);
                 assert_eq!(single.output, run.output, "{name}: fixed spec diverged");
                 let label = format!("{}@{}", partitioner.name(), n);
                 let c = completion(&run);
@@ -86,9 +95,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             }
         }
 
-        let planned = best_of(|| {
-            cluster.run_cheetah_planned(q, &table, right_of, &planner).expect("plan fits")
-        });
+        let planned = best_of(&cluster, q, &table, right_of, Sharding::Planner(planner.clone()));
         assert_eq!(single.output, planned.output, "{name}: planned run diverged");
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         let label = format!("planned:{}@{}", plan.partitioner().name(), plan.shards());
@@ -132,9 +139,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             None => Tables::unary(&table),
         };
         let calibrated = ShardPlanner::new(planner.cfg.clone().calibrate(&cluster, &tables));
-        let cal_run = best_of(|| {
-            cluster.run_cheetah_planned(q, &table, right_of, &calibrated).expect("plan fits")
-        });
+        let cal_run = best_of(&cluster, q, &table, right_of, Sharding::Planner(calibrated.clone()));
         assert_eq!(single.output, cal_run.output, "{name}: calibrated run diverged");
         let cal_gap = (modelled(&cal_run) - phases(&cal_run)).abs();
         let cal = calibrated.cfg.calibration.expect("probe ran");

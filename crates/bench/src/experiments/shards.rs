@@ -15,6 +15,7 @@ use crate::report::secs;
 use crate::{Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec};
+use cheetah_runtime::{route_once, Sharding};
 use cheetah_workloads::SkewedTableConfig;
 
 const LINK_GBPS: f64 = 10.0;
@@ -64,6 +65,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         ],
     );
     let planner = ctx.planner();
+    let seed = cluster.tuning.seed;
     for (name, q) in &families {
         let right_of = q.is_binary().then_some(&right);
         let single = cluster.run_cheetah(q, &table, right_of).expect("plan fits");
@@ -85,14 +87,16 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             ]);
         };
         for &n in &ctx.shards {
-            let spec = ShardSpec::new(n, ShardPartitioner::Hash);
-            let sharded =
-                cluster.run_cheetah_sharded(q, &table, right_of, &spec).expect("plan fits");
-            record(n.to_string(), &sharded);
+            let spec = Sharding::Fixed(ShardSpec::new(n, ShardPartitioner::Hash));
+            let routed = route_once(q, &table, right_of, seed, spec, None);
+            record(n.to_string(), &routed.run_pooled(&cluster).expect("plan fits"));
         }
         // The planned comparison row: the planner searches the same
         // shard range the sweep covers (RunCtx-driven).
-        let planned = cluster.run_cheetah_planned(q, &table, right_of, &planner).expect("fits");
+        let planned =
+            route_once(q, &table, right_of, seed, Sharding::Planner(planner.clone()), None)
+                .run_pooled(&cluster)
+                .expect("fits");
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         record(format!("planned:{}@{}", plan.partitioner().name(), plan.shards()), &planned);
     }

@@ -20,13 +20,13 @@
 //! serde stand-in has no serializer; the parser only promises to read
 //! what [`SmokeReport::to_json`] writes.
 
+use crate::round_layout;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath,
-    IntCmp, PlanDecision, ShardPlanner, ShardSpec, Table,
+    Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec, Table,
 };
 use cheetah_net::ENTRY_WIRE_BYTES;
-use cheetah_runtime::{FaultSpec, PooledExecution, StreamSpec, StreamedExecution};
+use cheetah_runtime::{route_once, FaultSpec, Sharding, StreamLayout, StreamedExecution};
 use cheetah_serve::{QueryRequest, Session, SessionConfig};
 use cheetah_telemetry::{Registry, Trace};
 use cheetah_workloads::SkewedTableConfig;
@@ -200,7 +200,7 @@ const PAIR_REPS: usize = 21;
 
 /// Run the smoke pass: every family unsharded, plus — for three
 /// representative families — a fixed [`SMOKE_SHARDS`]-shard run, a
-/// planner-chosen run, *and* a streamed-runtime run; the `@planned` and
+/// planner-chosen run, *and* a streamed run; the `@planned` and
 /// `@streamed` rows each gate with their own tolerance. A final
 /// `burst@serving` row pushes a four-tenant closed-loop burst through the
 /// `Session` front door (own tolerance again — it carries scheduler
@@ -234,28 +234,10 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         let spec = ShardSpec::new(SMOKE_SHARDS, ShardPartitioner::Hash);
         // Routing keys, the fitted sharder, and the shard split itself are
         // data layout, not execution: in the paper's deployment each worker
-        // holds its slice from ingest on. Derive and route once, outside
-        // the timed region, and time the resident-data entry on the
-        // persistent worker pool. (The earlier harness re-derived keys,
-        // re-fit the sharder, re-routed every row, and re-spawned scoped
-        // threads inside every rep — setup noise on top of the execution
-        // number this row is supposed to gate.)
+        // holds its slice from ingest on. Route once, outside the timed
+        // region, and time the pooled executor over the resident slices.
         let seed = cluster.tuning.seed;
-        let left_keys = routing_keys(&q, 0, &left, seed);
-        let right_keys = right_of.map(|r| routing_keys(&q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let sharder = fixed_sharder(&spec, seed, &key_slices);
-        let left_shards: Vec<Arc<Table>> = route_range(&left, &left_keys, &sharder, 0, left.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let right_shards: Option<Vec<Arc<Table>>> = right_of.map(|r| {
-            route_range(r, right_keys.as_deref().expect("binary query"), &sharder, 0, r.rows())
-                .into_iter()
-                .map(Arc::new)
-                .collect()
-        });
+        let routed = route_once(&q, &left, right_of, seed, Sharding::Fixed(spec), None);
         // The @shards row and its @compiled twin — identical resident
         // layout, identical pool entry point, but the twin's shards run
         // the monomorphic fused kernel instead of walking the boxed stage
@@ -264,16 +246,7 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         // own wall-clock floor, `--smoke-compiled-tolerance`), so the
         // pair is measured interleaved rather than as two windows.
         let presplit = |c: &Cluster| {
-            let run = c
-                .run_cheetah_presplit(
-                    &q,
-                    &left_shards,
-                    right_shards.as_deref(),
-                    &spec.ingest,
-                    PlanDecision::Fixed(spec.partitioner),
-                    None,
-                )
-                .expect("plan fits");
+            let run = routed.run_pooled(c).expect("plan fits");
             (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
         };
         let (interp_row, compiled_row) = measure_pair(
@@ -287,25 +260,28 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         families.push(compiled_row);
         // The planned counterpart of the fixed-spec row above: same
         // query, same tables, layout chosen by the sample-driven
-        // planner. `@planned` rows get their own gate tolerance —
-        // planning adds a sampling pass and a data-dependent shard
-        // count, so their wall-clock varies more than a pinned spec's.
+        // planner, timed end to end (keys, plan, routing, pooled run) per
+        // rep. `@planned` rows get their own gate tolerance — planning
+        // adds a sampling pass and a data-dependent shard count, so their
+        // wall-clock varies more than a pinned spec's.
         families.push(measure_family(format!("{name}@planned"), input_rows, reps, || {
-            let run = cluster.run_cheetah_planned(&q, &left, right_of, &planner).expect("fits");
+            let planned = Sharding::Planner(planner.clone());
+            let routed = route_once(&q, &left, right_of, seed, planned, None);
+            let run = routed.run_pooled(&cluster).expect("fits");
             (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
         }));
-        // The streamed-runtime twin of the same fixed spec: survivor
-        // batches over bounded channels into the incremental merge. Its
-        // pruning counters are deterministic like every other row (input
-        // rounds change *which* duplicates the per-round switch programs
-        // see, so its floor differs from @shards — that is recorded in
-        // the baseline, not excused); its wall-clock carries threading +
-        // framing variance, hence its own gate tolerance. Like @shards,
-        // the layout (keys, sharder fit, per-round routing) is resident:
-        // it is built once here and the timed region pays only dispatch,
+        // The streamed executor under the same fixed spec: survivor
+        // batches over bounded channels into the incremental merge, the
+        // input cut into rounds by [`round_layout`]. Its pruning counters
+        // are deterministic like every other row (input rounds change
+        // *which* duplicates the per-round switch programs see, so its
+        // floor differs from @shards — that is recorded in the baseline,
+        // not excused); its wall-clock carries threading + framing
+        // variance, hence its own gate tolerance. Like @shards, the
+        // layout (keys, sharder fit, per-round routing) is resident: it
+        // is built once here and the timed region pays only dispatch,
         // per-shard pruning, framing, and the incremental merge.
-        let streamed = StreamSpec::fixed(spec);
-        let layout = cluster.plan_stream(&q, &left, right_of, &streamed);
+        let layout = round_layout(&q, &left, right_of, seed, spec);
         families.push(measure_family(format!("{name}@streamed"), input_rows, reps, || {
             let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("fits");
             (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
@@ -383,10 +359,19 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         let root = trace.span("query");
         {
             let _g = root.enter();
-            let mut fspec = StreamSpec::fixed(ShardSpec::new(SMOKE_SHARDS, ShardPartitioner::Hash));
-            fspec.batch = Some(4);
-            fspec.fault = Some(FaultSpec::harsh(seed));
-            cluster.run_cheetah_streamed(&q, &left, None, &fspec).expect("plan fits");
+            let spec = Sharding::Fixed(ShardSpec::new(SMOKE_SHARDS, ShardPartitioner::Hash));
+            let routed = route_once(&q, &left, None, cluster.tuning.seed, spec, None);
+            let lossy = StreamLayout::from_units(
+                vec![routed.left.clone()],
+                None,
+                routed.ingest,
+                routed.decision,
+                None,
+                Some(4),
+                None,
+            )
+            .with_fault(FaultSpec::harsh(seed));
+            cluster.run_cheetah_streamed_resident(&routed.query, &lossy).expect("plan fits");
         }
         root.finish();
         let retransmits = registry.snapshot().counters.get("net.retransmits").copied().unwrap_or(0);

@@ -39,6 +39,14 @@ pub enum Error {
         /// Index of the first cut point below its predecessor.
         index: usize,
     },
+    /// A key-holistic query (HAVING, JOIN) was handed a streamed layout
+    /// of several input rounds. Its merge needs every row of a key inside
+    /// one executor run, so a round split would silently change the
+    /// answer.
+    KeyHolisticRounds {
+        /// Input rounds of the rejected layout.
+        rounds: usize,
+    },
 }
 
 impl Error {
@@ -48,7 +56,8 @@ impl Error {
             Error::Switch(e) => Some(e),
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
-            | Error::UnsortedShardBoundaries { .. } => None,
+            | Error::UnsortedShardBoundaries { .. }
+            | Error::KeyHolisticRounds { .. } => None,
         }
     }
 }
@@ -66,6 +75,11 @@ impl fmt::Display for Error {
             Error::UnsortedShardBoundaries { index } => {
                 write!(f, "fitted shard boundaries are not ascending at cut {index}")
             }
+            Error::KeyHolisticRounds { rounds } => write!(
+                f,
+                "a key-holistic query cannot run over {rounds} input rounds: its merge needs \
+                 every row of a key in one executor run"
+            ),
         }
     }
 }
@@ -76,7 +90,8 @@ impl std::error::Error for Error {
             Error::Switch(e) => Some(e),
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
-            | Error::UnsortedShardBoundaries { .. } => None,
+            | Error::UnsortedShardBoundaries { .. }
+            | Error::KeyHolisticRounds { .. } => None,
         }
     }
 }
@@ -117,6 +132,13 @@ mod tests {
     fn unsorted_boundaries_is_informative() {
         let e = Error::UnsortedShardBoundaries { index: 3 };
         assert!(e.to_string().contains("cut 3"), "{e}");
+        assert!(e.as_switch().is_none());
+    }
+
+    #[test]
+    fn key_holistic_rounds_is_informative() {
+        let e = Error::KeyHolisticRounds { rounds: 4 };
+        assert!(e.to_string().contains("4 input rounds"), "{e}");
         assert!(e.as_switch().is_none());
     }
 

@@ -202,11 +202,13 @@ impl Cluster {
     /// ([`Cluster::execute`]); each arm below only picks the
     /// [`PruningOperator`](cheetah_core::PruningOperator) impl.
     ///
-    /// **Deprecated**: prefer the serving plane's front door — build a
-    /// `cheetah_serve::QueryRequest` and call `Session::run_blocking` /
-    /// `Session::submit`. This entry point stays as the shim the
-    /// serving contract gates verify bit-identity against.
-    #[doc(hidden)]
+    /// This is the per-shard executor: both resident executors in
+    /// `cheetah-runtime` (pooled barrier and streamed) run it once per
+    /// shard slice and merge the results at the master. Called on a
+    /// whole table it is also the unsharded reference the shard gates
+    /// compare against. Callers serving queries go through
+    /// `cheetah_serve::Session`, which routes, picks the executor, and
+    /// caches the routed layout.
     pub fn run_cheetah(
         &self,
         q: &DbQuery,

@@ -278,7 +278,6 @@ impl Cluster {
                 master_ingest_seconds: 0.0,
                 plan: None,
                 overlap_seconds: 0.0,
-                replans: 0,
                 backend,
                 ..ExecBreakdown::default()
             },

@@ -1,6 +1,7 @@
 //! Predicates for WHERE clauses, including the string `LIKE` the switch
 //! cannot evaluate (§4.1's running example).
 
+use crate::value::DataType;
 use serde::{Deserialize, Serialize};
 
 /// Integer comparison operators (signed SQL semantics).
@@ -128,6 +129,27 @@ impl DbPredicate {
             DbPredicate::And(xs) | DbPredicate::Or(xs) => {
                 for x in xs {
                     x.collect_columns(out);
+                }
+            }
+        }
+    }
+
+    /// Every atom (leaf) of the predicate, in order: the column it reads
+    /// and the type that column must have. Each atom becomes one atom of
+    /// the switch's filter program.
+    pub fn atom_columns(&self) -> Vec<(usize, DataType)> {
+        let mut out = Vec::new();
+        self.collect_atoms(&mut out);
+        out
+    }
+
+    fn collect_atoms(&self, out: &mut Vec<(usize, DataType)>) {
+        match self {
+            DbPredicate::CmpInt { col, .. } => out.push((*col, DataType::Int)),
+            DbPredicate::Like { col, .. } => out.push((*col, DataType::Str)),
+            DbPredicate::And(xs) | DbPredicate::Or(xs) => {
+                for x in xs {
+                    x.collect_atoms(out);
                 }
             }
         }

@@ -7,7 +7,9 @@
 //! test-suite.
 
 use crate::expr::DbPredicate;
-use crate::value::Value;
+use crate::table::Table;
+use crate::value::{DataType, Value};
+use cheetah_core::FilterPruner;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -141,16 +143,85 @@ impl DbQuery {
         }
     }
 
+    /// Check the query against the tables it would run over, before any
+    /// work: a right table exactly when the query is binary, every column
+    /// index inside its table's schema with the type the family needs
+    /// (integers for comparisons, TOP N order, aggregated values and
+    /// skyline dimensions; strings for LIKE), at least one column read
+    /// per input stream, and no more filter atoms than the switch's truth
+    /// table holds. `Err` carries a one-line reason. A query that passes
+    /// runs on both engines without tripping a schema assertion.
+    pub fn check_inputs(&self, left: &Table, right: Option<&Table>) -> Result<(), String> {
+        let kind = self.kind();
+        match (self.is_binary(), right) {
+            (true, None) => return Err(format!("{kind} needs a right table")),
+            (false, Some(_)) => return Err(format!("{kind} reads one table, got a right table")),
+            _ => {}
+        }
+        if let DbQuery::FilterCount { pred } = self {
+            let atoms = pred.atom_columns().len();
+            if atoms > FilterPruner::MAX_ATOMS {
+                return Err(format!(
+                    "{kind} has {atoms} predicate atoms, the switch holds at most {}",
+                    FilterPruner::MAX_ATOMS
+                ));
+            }
+        }
+        for (stream, table) in std::iter::once(left).chain(right).enumerate() {
+            if self.columns_read(stream).is_empty() {
+                return Err(format!("{kind} reads no column of input stream {stream}"));
+            }
+            for (col, need) in self.column_types(stream) {
+                let Some((name, have)) = table.fields().get(col) else {
+                    return Err(format!(
+                        "{kind} reads column {col} of `{}`, which has {} columns",
+                        table.name(),
+                        table.fields().len()
+                    ));
+                };
+                if let Some(need) = need.filter(|need| need != have) {
+                    return Err(format!(
+                        "{kind} needs column {col} (`{name}`) of `{}` to be {need:?}, it is {have:?}",
+                        table.name()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every column stream `stream` reads, with the type it must have
+    /// (`None` when any type works, as for keys).
+    fn column_types(&self, stream: usize) -> Vec<(usize, Option<DataType>)> {
+        let int = Some(DataType::Int);
+        match (self, stream) {
+            (DbQuery::FilterCount { pred }, 0) => {
+                pred.atom_columns().into_iter().map(|(c, t)| (c, Some(t))).collect()
+            }
+            (DbQuery::Distinct { col }, 0) => vec![(*col, None)],
+            (DbQuery::Skyline { cols }, 0) => cols.iter().map(|&c| (c, int)).collect(),
+            (DbQuery::TopN { order_col, .. }, 0) => vec![(*order_col, int)],
+            (DbQuery::GroupByMax { key_col, val_col }, 0)
+            | (DbQuery::HavingSum { key_col, val_col, .. }, 0) => {
+                vec![(*key_col, None), (*val_col, int)]
+            }
+            (DbQuery::Join { left_key, .. }, 0) => vec![(*left_key, None)],
+            (DbQuery::Join { right_key, .. }, 1) => vec![(*right_key, None)],
+            _ => Vec::new(),
+        }
+    }
+
     /// Is the master merge correct under *any* deterministic assignment
-    /// of rows to shard runs — including assignments that change mid-run?
+    /// of rows to shard runs — including a shard's rows split across
+    /// several executor runs?
     ///
     /// Re-prune merges (TOP N, SKYLINE, DISTINCT), count sums, and
     /// GROUP BY MAX (max of maxes over any cover of the rows) are; HAVING
     /// needs every row of a key inside one shard run for its local sum +
     /// threshold to be global, and JOIN needs both streams co-partitioned
-    /// into the same runs. The streamed runtime reads this to decide
-    /// whether input rounds and mid-run re-planning are available, or the
-    /// whole shard input must reach one executor run.
+    /// into the same runs. The streamed executor reads this to refuse a
+    /// multi-round layout for a query whose whole shard input must reach
+    /// one executor run.
     pub fn merge_routing_agnostic(&self) -> bool {
         match self {
             DbQuery::FilterCount { .. }
@@ -234,6 +305,70 @@ mod tests {
     fn points_normalization() {
         let a = QueryOutput::points(vec![vec![1, 2], vec![0, 0], vec![1, 2]]);
         assert_eq!(a, QueryOutput::Points(vec![vec![0, 0], vec![1, 2]]));
+    }
+
+    fn two_col_table() -> Table {
+        let mut b = crate::table::TableBuilder::new(
+            "two",
+            vec![("k".into(), DataType::Str), ("v".into(), DataType::Int)],
+            4,
+        );
+        b.push_row(vec![Value::Str("a".into()), Value::Int(1)]);
+        b.build()
+    }
+
+    #[test]
+    fn check_inputs_accepts_well_formed_queries() {
+        use crate::expr::{IntCmp, LikePattern};
+        let t = two_col_table();
+        for q in [
+            DbQuery::FilterCount {
+                pred: DbPredicate::Or(vec![
+                    DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 0 },
+                    DbPredicate::Like { col: 0, pattern: LikePattern::parse("a%") },
+                ]),
+            },
+            DbQuery::Distinct { col: 1 },
+            DbQuery::Skyline { cols: vec![1, 1] },
+            DbQuery::TopN { order_col: 1, n: 3 },
+            DbQuery::GroupByMax { key_col: 1, val_col: 1 },
+            DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 9 },
+        ] {
+            assert_eq!(q.check_inputs(&t, None), Ok(()), "{q:?}");
+        }
+        let join = DbQuery::Join { left_key: 0, right_key: 1 };
+        assert_eq!(join.check_inputs(&t, Some(&t)), Ok(()));
+    }
+
+    #[test]
+    fn check_inputs_names_what_is_wrong() {
+        use crate::expr::{IntCmp, LikePattern};
+        let t = two_col_table();
+        let cmp = |col| DbPredicate::CmpInt { col, op: IntCmp::Lt, lit: 3 };
+        let cases = [
+            (DbQuery::Distinct { col: 9 }, None, "column 9"),
+            (DbQuery::FilterCount { pred: DbPredicate::And(vec![]) }, None, "no column"),
+            (DbQuery::Skyline { cols: vec![] }, None, "no column"),
+            (DbQuery::FilterCount { pred: cmp(0) }, None, "be Int"),
+            (
+                DbQuery::FilterCount {
+                    pred: DbPredicate::Like { col: 1, pattern: LikePattern::parse("%") },
+                },
+                None,
+                "be Str",
+            ),
+            (DbQuery::FilterCount { pred: DbPredicate::Or(vec![cmp(1); 17]) }, None, "17"),
+            (DbQuery::TopN { order_col: 0, n: 2 }, None, "be Int"),
+            (DbQuery::GroupByMax { key_col: 1, val_col: 0 }, None, "be Int"),
+            (DbQuery::HavingSum { key_col: 0, val_col: 5, threshold: 1 }, None, "column 5"),
+            (DbQuery::Join { left_key: 0, right_key: 0 }, None, "right table"),
+            (DbQuery::Join { left_key: 0, right_key: 2 }, Some(&t), "column 2"),
+            (DbQuery::Distinct { col: 0 }, Some(&t), "right table"),
+        ];
+        for (q, right, want) in cases {
+            let err = q.check_inputs(&t, right).expect_err(&format!("{q:?} must be rejected"));
+            assert!(err.contains(want), "{q:?}: {err}");
+        }
     }
 
     #[test]

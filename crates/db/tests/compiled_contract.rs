@@ -3,7 +3,8 @@
 //!
 //! 1. **Bit-identity** — for **all seven** `DbQuery` variants across the
 //!    adversarial workload family ({uniform, zipf(1.0), zipf(1.5),
-//!    single-hot-key}) at shard counts {1, 2, 7}, a run on the compiled
+//!    single-hot-key}) at shard counts {1, 2, 7}, on both resident
+//!    executors over one `route_once` layout, a run on the compiled
 //!    backend produces *exactly* the interpreted oracle's output. Not
 //!    "equivalent": the kernels rebuild the same hashed state from the
 //!    same seeds, so every verdict — and therefore every survivor and
@@ -21,8 +22,11 @@ mod common;
 use common::all_seven;
 
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ShardSpec, Table};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, ShardedRun, Table};
+use cheetah_runtime::{route_once, Sharding, StreamedRun};
+use cheetah_serve::{QueryRequest, Session};
 use cheetah_workloads::PlannerAdversary;
+use std::sync::Arc;
 
 /// Drive one query on both backends over the same tables and spec;
 /// assert output + counter identity.
@@ -50,9 +54,15 @@ fn assert_backends_agree(
         assert_eq!(c.breakdown.backend, ExecBackend::Compiled, "{label}");
         return;
     }
-    let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
-    let i = oracle.run_cheetah_sharded(q, left, right, &spec).expect("oracle run fits");
-    let c = compiled.run_cheetah_sharded(q, left, right, &spec).expect("compiled run fits");
+    let spec = Sharding::Fixed(ShardSpec::new(shards, ShardPartitioner::Hash));
+    let routed = route_once(q, left, right, oracle.tuning.seed, spec, None);
+    let streamed = |c: &Cluster| -> StreamedRun { routed.run_streamed(c).expect("run fits") };
+    let (i, c) = (streamed(oracle), streamed(compiled));
+    assert_eq!(i.output, c.output, "{} streamed output diverged on {label}", q.kind());
+    assert_eq!(i.switch_stats, c.switch_stats, "{} streamed counters diverged", q.kind());
+    assert_eq!(c.breakdown.backend, ExecBackend::Compiled, "{label}");
+    let pooled = |c: &Cluster| -> ShardedRun { routed.run_pooled(c).expect("run fits") };
+    let (i, c) = (pooled(oracle), pooled(compiled));
     assert_eq!(i.output, c.output, "{} output diverged on {label}", q.kind());
     assert_eq!(i.switch_stats, c.switch_stats, "{} counters diverged on {label}", q.kind());
     assert_eq!(
@@ -102,10 +112,20 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&DbQuery::Distinct { col: 0 }, &t, None).unwrap();
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
-    let spec = ShardSpec::new(4, ShardPartitioner::Range);
-    let sharded =
-        compiled.run_cheetah_sharded(&DbQuery::Distinct { col: 0 }, &t, None, &spec).unwrap();
-    assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
+    let q = DbQuery::Distinct { col: 0 };
+    let spec = Sharding::Fixed(ShardSpec::new(4, ShardPartitioner::Range));
+    let routed = route_once(&q, &t, None, compiled.tuning.seed, spec, None);
+    assert_eq!(routed.run_pooled(&compiled).unwrap().breakdown.backend, ExecBackend::Compiled);
+    assert_eq!(routed.run_streamed(&compiled).unwrap().breakdown.backend, ExecBackend::Compiled);
+    // The front door pinned to the compiled backend records it too, on
+    // either path.
+    let session = Session::with_defaults();
+    let t = Arc::new(t);
+    for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
+        let req = QueryRequest::new(q.clone(), Arc::clone(&t)).shards(4);
+        let resp = session.run_blocking(req.path(path).backend(ExecBackend::Compiled)).unwrap();
+        assert_eq!(resp.breakdown.backend, ExecBackend::Compiled, "{}", path.label());
+    }
 }
 
 #[test]

@@ -19,21 +19,23 @@
 //!    [`FaultProfile::harsh`], with the §7.2 reliability machines doing
 //!    the recovery. Same seed ⇒ bit-identical report (retransmit counts
 //!    included); the merged output still equals the baseline.
-//! 3. **Streamed runtime** — `run_cheetah_streamed` at 15% drop + 15%
-//!    corruption + duplication answers every family exactly, and the
-//!    go-back-N resends are visible in `ExecBreakdown::retransmits`.
+//! 3. **Streamed executor** — a resident layout with a faulty channel
+//!    attached (`StreamLayout::with_fault`) at 15% drop, 15% corruption
+//!    and duplication answers every family exactly, and the go-back-N
+//!    resends are visible in `ExecBreakdown::retransmits`.
 
 mod common;
 
 use bytes::Bytes;
 use cheetah_db::{
-    decompose_output, fixed_sharder, route_range, routing_keys, Cluster, DbQuery, MergeState,
-    QueryOutput, ShardPartitioner, ShardSpec, Table,
+    decompose_output, Cluster, DbQuery, MergeState, QueryOutput, ShardPartitioner, ShardSpec, Table,
 };
 use cheetah_net::{
     emit_batch, explore, CheckerConfig, FabricConfig, FabricSim, FaultProfile, SurvivorBatch,
 };
-use cheetah_runtime::{FaultSpec, StreamSpec, StreamedExecution};
+use cheetah_runtime::{
+    route_once, FaultSpec, RoutedLayout, Sharding, StreamLayout, StreamedExecution,
+};
 use common::{all_seven, gen_table};
 
 /// Shards (= checker flows) the survivor traffic is split across.
@@ -46,33 +48,26 @@ const FRAMES_PER_SHARD: usize = 3;
 /// well inside a CI minute even with a full merge replay per schedule.
 const MAX_SCHEDULES: u64 = 20_000;
 
-/// Split `left` (and `right`, co-partitioned) key-aligned across
-/// [`SHARDS`], run each shard's slice through the baseline executor,
-/// and frame its decomposed survivors as exactly [`FRAMES_PER_SHARD`]
-/// frames — padding with empty frames so every flow has the same
-/// length the checker expects.
-fn shard_frames(
-    cluster: &Cluster,
-    q: &DbQuery,
-    left: &Table,
-    right: Option<&Table>,
-) -> Vec<Vec<Bytes>> {
-    let seed = cluster.tuning.seed;
-    let left_keys = routing_keys(q, 0, left, seed);
-    let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-    let key_slices: Vec<&[u64]> =
-        std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-    let spec = ShardSpec::new(SHARDS, ShardPartitioner::Hash);
-    let sharder = fixed_sharder(&spec, seed, &key_slices);
-    let left_slices = route_range(left, &left_keys, &sharder, 0, left.rows());
-    let right_slices = right.map(|r| {
-        route_range(r, right_keys.as_deref().expect("keys computed"), &sharder, 0, r.rows())
-    });
-    left_slices
+/// `q` over `left` (and `right`, co-partitioned) routed key-aligned
+/// across [`SHARDS`] hash shards.
+fn route(cluster: &Cluster, q: &DbQuery, left: &Table, right: Option<&Table>) -> RoutedLayout {
+    let spec = Sharding::Fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
+    route_once(q, left, right, cluster.tuning.seed, spec, None)
+}
+
+/// Route `q`'s tables across [`SHARDS`], run each shard's slice through
+/// the baseline executor, and frame its decomposed survivors as exactly
+/// [`FRAMES_PER_SHARD`] frames — padding with empty frames so every flow
+/// has the same length the checker expects. Frames carry the routed
+/// (projected) query's merge items; merge them under `routed.query`.
+fn shard_frames(routed: &RoutedLayout, cluster: &Cluster) -> Vec<Vec<Bytes>> {
+    let q = &routed.query;
+    routed
+        .left
         .iter()
         .enumerate()
         .map(|(shard, slice)| {
-            let rs = right_slices.as_ref().map(|v| &v[shard]);
+            let rs = routed.right.as_ref().map(|v| &*v[shard]);
             let out = cluster.run_baseline(q, slice, rs).output;
             let items = decompose_output(q, out);
             let per = items.len().div_ceil(FRAMES_PER_SHARD).max(1);
@@ -112,7 +107,8 @@ fn every_interleaving_merges_to_the_same_answer_for_all_seven_families() {
     let right = gen_table(240, 23, 2, 23);
     for q in all_seven(4_000) {
         let r = matches!(q, DbQuery::Join { .. }).then_some(&right);
-        let frames = shard_frames(&cluster, &q, &left, r);
+        let routed = route(&cluster, &q, &left, r);
+        let frames = shard_frames(&routed, &cluster);
         let parsed: Vec<Vec<SurvivorBatch>> = frames
             .iter()
             .map(|flow| {
@@ -121,7 +117,7 @@ fn every_interleaving_merges_to_the_same_answer_for_all_seven_families() {
                     .collect()
             })
             .collect();
-        let expected = fold_in_order(&q, &frames);
+        let expected = fold_in_order(&routed.query, &frames);
         // The merge target is the ground truth, not just self-consistent.
         assert_eq!(
             expected,
@@ -137,7 +133,7 @@ fn every_interleaving_merges_to_the_same_answer_for_all_seven_families() {
         };
         let mut checked = 0u64;
         let stats = explore(&cfg, |schedule| {
-            let mut st = MergeState::new(&q);
+            let mut st = MergeState::new(&routed.query);
             for d in schedule {
                 st.ingest_survivor_batch(&parsed[d.flow][d.seq as usize])
                     .expect("merge item round-trips");
@@ -160,11 +156,13 @@ fn harsh_fabric_delivers_exactly_and_is_seed_deterministic() {
     let cluster = Cluster::default();
     let left = gen_table(600, 23, 3, 31);
     for q in [DbQuery::Distinct { col: 0 }, DbQuery::GroupByMax { key_col: 0, val_col: 1 }] {
-        let frames = shard_frames(&cluster, &q, &left, None);
-        let expected = fold_in_order(&q, &frames);
+        let routed = route(&cluster, &q, &left, None);
+        let frames = shard_frames(&routed, &cluster);
+        let expected = fold_in_order(&routed.query, &frames);
+        assert_eq!(expected, cluster.run_baseline(&q, &left, None).output, "{}", q.kind());
         let run_once = || {
             let cfg = FabricConfig { faults: FaultProfile::harsh(), ..FabricConfig::default() };
-            let mut st = MergeState::new(&q);
+            let mut st = MergeState::new(&routed.query);
             let report = FabricSim::new(cfg, frames.clone()).run(|batch| {
                 st.ingest_survivor_batch(batch).expect("merge item round-trips");
             });
@@ -188,10 +186,19 @@ fn streamed_runtime_answers_all_seven_families_under_harsh_faults() {
     for q in all_seven(4_000) {
         let r = matches!(q, DbQuery::Join { .. }).then_some(&right);
         let base = cluster.run_baseline(&q, &left, r).output;
-        let mut spec = StreamSpec::fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
-        spec.batch = Some(4); // many small frames → many fault draws
-        spec.fault = Some(FaultSpec::harsh(0xFAB));
-        let run = cluster.run_cheetah_streamed(&q, &left, r, &spec).expect("streamed run");
+        let routed = route(&cluster, &q, &left, r);
+        // Many small frames → many fault draws.
+        let lossy = StreamLayout::from_units(
+            vec![routed.left.clone()],
+            routed.right.clone(),
+            routed.ingest,
+            routed.decision,
+            None,
+            Some(4),
+            None,
+        )
+        .with_fault(FaultSpec::harsh(0xFAB));
+        let run = cluster.run_cheetah_streamed_resident(&routed.query, &lossy).expect("streamed");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert!(
             run.breakdown.retransmits > 0,

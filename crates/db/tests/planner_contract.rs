@@ -1,9 +1,10 @@
 //! The planner contract gate, the third named CI tier after the pruning
 //! and shard gates. Three properties, each load-bearing:
 //!
-//! 1. **Correctness** — a planner-chosen run is bit-identical to the
-//!    baseline for **all seven** [`DbQuery`] variants across the
-//!    planner-adversarial workload family
+//! 1. **Correctness** — a planner-chosen layout (`route_once` with
+//!    `Sharding::Planner`) run on both resident executors is
+//!    bit-identical to the baseline for **all seven** [`DbQuery`]
+//!    variants across the planner-adversarial workload family
 //!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}): the planner may
 //!    change *where* rows go, never *what* the query answers.
 //! 2. **Balance bound** — whenever the planner keeps the fitted range
@@ -20,10 +21,32 @@ mod common;
 use common::all_seven;
 
 use cheetah_db::{
-    Cluster, DataType, DbQuery, PlannerConfig, ShardPartitioner, ShardPlanner, Table, TableBuilder,
-    Value,
+    Cluster, DataType, DbQuery, PlannerConfig, ShardPartitioner, ShardPlanner, ShardedRun, Table,
+    TableBuilder, Tables, Value,
 };
+use cheetah_runtime::{route_once, Sharding};
 use cheetah_workloads::PlannerAdversary;
+
+/// `q` routed under a plan `planner` fits now, run on both resident
+/// executors; the pooled run is returned once the streamed one has
+/// matched its output and shard layout.
+fn run_planned(
+    cluster: &Cluster,
+    planner: &ShardPlanner,
+    q: &DbQuery,
+    left: &Table,
+    right: Option<&Table>,
+) -> ShardedRun {
+    let sharding = Sharding::Planner(planner.clone());
+    let routed = route_once(q, left, right, cluster.tuning.seed, sharding, None);
+    let pooled = routed.run_pooled(cluster).expect("plan fits");
+    let streamed = routed.run_streamed(cluster).expect("plan fits");
+    assert_eq!(pooled.output, streamed.output, "{}: executors diverged", q.kind());
+    assert_eq!(pooled.plan, streamed.plan, "{}", q.kind());
+    assert_eq!(pooled.breakdown.plan, streamed.breakdown.plan, "{}", q.kind());
+    assert_eq!(pooled.breakdown.shards, streamed.breakdown.shards, "{}", q.kind());
+    pooled
+}
 use proptest::prelude::*;
 
 /// Assert properties 1 and 2 over the full variant grid for one
@@ -39,7 +62,7 @@ fn assert_planner_contract(
     for q in all_seven(threshold) {
         let right_of = q.is_binary().then_some(right);
         let base = cluster.run_baseline(&q, left, right_of);
-        let planned = cluster.run_cheetah_planned(&q, left, right_of, planner).expect("plan fits");
+        let planned = run_planned(cluster, planner, &q, left, right_of);
         assert_eq!(
             base.output,
             planned.output,
@@ -139,8 +162,8 @@ fn planned_execution_is_deterministic_end_to_end() {
     let planner = ShardPlanner::default();
     let t = PlannerAdversary::Zipf(1.2).table(1_500, 3, 77);
     let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 };
-    let a = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
-    let b = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
+    let a = run_planned(&cluster, &planner, &q, &t, None);
+    let b = run_planned(&cluster, &planner, &q, &t, None);
     assert_eq!(a.output, b.output);
     assert_eq!(a.plan, b.plan);
     let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
@@ -166,7 +189,7 @@ fn empty_table_plans_one_shard_and_runs() {
     let plan = planner.plan(&q, &t, None, 1);
     assert_eq!(plan.shards(), 1);
     assert_eq!(plan.report.rows, 0);
-    let run = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
+    let run = run_planned(&cluster, &planner, &q, &t, None);
     assert_eq!(run.output, cheetah_db::QueryOutput::Values(vec![]));
     assert_eq!(run.breakdown.shards, 1);
 }
@@ -180,8 +203,7 @@ fn table_smaller_than_the_sample_size_is_planned_exactly() {
     assert_eq!(plan.report.rows, 60);
     assert_eq!(plan.report.sample_len, 60, "small tables are sampled in full");
     let cluster = Cluster::default();
-    let run =
-        cluster.run_cheetah_planned(&DbQuery::Distinct { col: 0 }, &t, None, &planner).unwrap();
+    let run = run_planned(&cluster, &planner, &DbQuery::Distinct { col: 0 }, &t, None);
     assert_eq!(run.output, cluster.run_baseline(&DbQuery::Distinct { col: 0 }, &t, None).output);
 }
 
@@ -210,7 +232,7 @@ fn all_equal_keys_collapse_to_one_shard() {
         let plan = planner.plan(&q, &t, None, cluster.tuning.seed);
         assert_eq!(plan.shards(), 1, "{}: single key must not fan out", q.kind());
         assert!(plan.report.reason.contains("equal"), "{}", plan.report.reason);
-        let run = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
+        let run = run_planned(&cluster, &planner, &q, &t, None);
         assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
     // The single-hot-key adversary hits the same rule through the
@@ -247,4 +269,17 @@ fn skew_flips_the_partitioner_choice() {
             r.hash_sample_load
         );
     }
+}
+
+#[test]
+fn a_calibrated_planner_keeps_the_correctness_contract() {
+    // Calibration replaces the cost constants with measured ones; the
+    // plans it then picks must still answer exactly.
+    let cluster = Cluster::default();
+    let left = PlannerAdversary::Zipf(1.0).table(3_000, 3, 0xCA1);
+    let right = PlannerAdversary::Zipf(1.0).table(1_000, 2, 0xCA2);
+    let cfg = PlannerConfig::default().calibrate(&cluster, &Tables::unary(&left));
+    assert!(cfg.calibration.is_some(), "the probe ran");
+    let planner = ShardPlanner::new(cfg);
+    assert_planner_contract(&cluster, &planner, &left, &right, 60_000, "calibrated zipf(1.0)");
 }

@@ -1,58 +1,59 @@
 //! The runtime contract gate, the fourth named CI tier after the pruning,
 //! shard, and planner gates. What it pins down:
 //!
-//! 1. **Correctness** — a streamed run is bit-identical to the baseline
-//!    for **all seven** `DbQuery` variants across the adversarial
-//!    workload family ({uniform, zipf(1.0), zipf(1.5), single-hot-key}),
-//!    at shard counts {1, 2, 7} under both partitioners: streaming
-//!    changes *when* survivors reach the master, never *what* the query
-//!    answers — including across input rounds and mid-run re-plans.
-//! 2. **Forced re-plan** — a clustered-order-value TOP N under a
-//!    degenerate equal-span range layout must trip the supervisor, adopt
-//!    a re-fit mid-run, and still match the baseline bit for bit.
-//! 3. **Replan discipline** — key-holistic queries (HAVING, JOIN) run a
-//!    single round and never re-plan, whatever the trigger factor;
-//!    `replan: false` pins every query's routing.
-//! 4. **Determinism** — same seed + same tables ⇒ identical output,
-//!    shard assignment, and supervisor decisions.
+//! 1. **Correctness** — the streamed executor over a `route_once` layout
+//!    is bit-identical to the baseline for **all seven** `DbQuery`
+//!    variants across the adversarial workload family ({uniform,
+//!    zipf(1.0), zipf(1.5), single-hot-key}), at shard counts {1, 2, 7}
+//!    under both partitioners and under a planner-chosen layout:
+//!    streaming changes *when* survivors reach the master, never *what*
+//!    the query answers.
+//! 2. **Input rounds** — a multi-round layout (cut by
+//!    `StreamLayout::from_units`) still answers exactly for every
+//!    routing-agnostic family, so the merge across rounds stays covered;
+//!    a key-holistic family (HAVING, JOIN) is refused such a layout with
+//!    a typed error instead of answering wrongly.
+//! 3. **Determinism** — same seed + same tables ⇒ identical output,
+//!    shard assignment, and survivor counts.
 
 mod common;
 
-use common::all_seven;
+use common::{all_seven, gen_table};
 
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DataType, DbQuery, QueryOutput, ShardSpec, Table, TableBuilder, Value};
-use cheetah_runtime::{StreamSpec, StreamedExecution};
+use cheetah_db::{
+    fixed_sharder, route_range, routing_keys, Cluster, DataType, DbQuery, PlanDecision,
+    QueryOutput, ShardPlanner, ShardSpec, Table, TableBuilder,
+};
+use cheetah_runtime::{route_once, Sharding, StreamLayout, StreamedExecution};
 use cheetah_workloads::PlannerAdversary;
+use std::sync::Arc;
 
-/// The full variant grid over one workload pair under one spec.
+/// The full variant grid over one workload pair under one sharding.
 fn assert_streamed_contract(
     cluster: &Cluster,
     left: &Table,
     right: &Table,
     threshold: i64,
-    spec: &StreamSpec,
+    sharding: &Sharding,
     label: &str,
 ) {
     for q in all_seven(threshold) {
         let right_of = q.is_binary().then_some(right);
         let base = cluster.run_baseline(&q, left, right_of);
-        let run = cluster.run_cheetah_streamed(&q, left, right_of, spec).expect("plan fits");
+        let routed = route_once(&q, left, right_of, cluster.tuning.seed, sharding.clone(), None);
+        let run = routed.run_streamed(cluster).expect("plan fits");
         assert_eq!(
             base.output,
             run.output,
-            "{} diverged under the streamed runtime on {label}",
+            "{} diverged under the streamed executor on {label}",
             q.kind()
         );
-        // Routing must not lose rows, whatever the rounds and re-plans.
-        let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
+        // Routing must not lose rows.
+        let routed_rows: u64 = run.per_shard.iter().map(|s| s.rows).sum();
         let total = left.rows() as u64 + right_of.map_or(0, |r| r.rows() as u64);
-        assert_eq!(routed, total, "{} on {label}: rows lost in routing", q.kind());
-        // Key-holistic queries must have pinned their routing.
-        if !q.merge_routing_agnostic() {
-            assert_eq!(run.rounds, 1, "{} on {label}", q.kind());
-            assert_eq!(run.breakdown.replans, 0, "{} on {label}", q.kind());
-        }
+        assert_eq!(routed_rows, total, "{} on {label}: rows lost in routing", q.kind());
+        assert_eq!(run.rounds, 1, "{} on {label}: route_once builds one round", q.kind());
         // The merge plane's telemetry stays self-consistent.
         assert!(
             run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12,
@@ -73,9 +74,9 @@ fn streamed_runs_match_baseline_across_the_adversarial_family() {
         let right = adv.table(450, 2, 0x5EED ^ 0xFACE);
         for shards in [1usize, 2, 7] {
             for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-                let spec = StreamSpec::fixed(ShardSpec::new(shards, partitioner));
+                let sharding = Sharding::Fixed(ShardSpec::new(shards, partitioner));
                 let label = format!("{} × {}@{}", adv.name(), partitioner.name(), shards);
-                assert_streamed_contract(&cluster, &left, &right, 9_000, &spec, &label);
+                assert_streamed_contract(&cluster, &left, &right, 9_000, &sharding, &label);
             }
         }
     }
@@ -87,79 +88,73 @@ fn streamed_planned_layout_matches_baseline_too() {
     for adv in [PlannerAdversary::Zipf(1.5), PlannerAdversary::SingleHotKey] {
         let left = adv.table(900, 3, 0xA11CE);
         let right = adv.table(450, 2, 0xA11CE ^ 0xFACE);
-        let spec = StreamSpec::default(); // planner-chosen layout
-        assert_streamed_contract(&cluster, &left, &right, 9_000, &spec, &adv.name());
+        let sharding = Sharding::Planner(ShardPlanner::default());
+        assert_streamed_contract(&cluster, &left, &right, 9_000, &sharding, &adv.name());
     }
 }
 
 // ---------------------------------------------------------------------
-// The forced mid-run re-plan
+// Input rounds
 // ---------------------------------------------------------------------
 
-/// 95 % of the order values cluster in [0, 100]; the rest spread to
-/// 100 000. Equal key-space spans fitted to the observed bounds put the
-/// clustered mass on one shard — the degenerate layout the supervisor
-/// exists to fix mid-run.
-fn clustered_order_table(rows: usize) -> Table {
-    let mut b = TableBuilder::new(
-        "clustered",
-        vec![("key".into(), DataType::Str), ("v".into(), DataType::Int)],
-        rows.div_ceil(4).max(1),
-    );
-    for i in 0..rows {
-        let v = if i % 20 == 0 { 50_000 + (i as i64 * 13) % 50_001 } else { (i as i64 * 7) % 101 };
-        b.push_row(vec![Value::Str(format!("k-{}", i % 61)), Value::Int(v)]);
+/// `t` cut into `rounds` equal row windows, each routed under a fixed
+/// `shards`-way `partitioner`: a multi-round layout over full-width
+/// slices, the way a caller cuts one by hand.
+fn rounds_layout(
+    cluster: &Cluster,
+    q: &DbQuery,
+    t: &Table,
+    shards: usize,
+    partitioner: ShardPartitioner,
+    rounds: usize,
+) -> StreamLayout {
+    let seed = cluster.tuning.seed;
+    let spec = ShardSpec::new(shards, partitioner);
+    let keys = routing_keys(q, 0, t, seed);
+    let sharder = fixed_sharder(&spec, seed, &[&keys]);
+    let units = (0..rounds)
+        .map(|r| {
+            let (lo, hi) = (r * t.rows() / rounds, (r + 1) * t.rows() / rounds);
+            route_range(t, &keys, &sharder, lo, hi).into_iter().map(Arc::new).collect()
+        })
+        .collect();
+    let decision = PlanDecision::Fixed(partitioner);
+    StreamLayout::from_units(units, None, spec.ingest, decision, None, None, None)
+}
+
+#[test]
+fn multi_round_layouts_merge_exactly_for_routing_agnostic_families() {
+    let cluster = Cluster::default();
+    for adv in [PlannerAdversary::Uniform, PlannerAdversary::Zipf(1.5)] {
+        let t = adv.table(1_200, 3, 0x20D5);
+        for q in all_seven(9_000).into_iter().filter(DbQuery::merge_routing_agnostic) {
+            let base = cluster.run_baseline(&q, &t, None);
+            for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
+                let layout = rounds_layout(&cluster, &q, &t, 3, partitioner, 4);
+                assert_eq!(layout.rounds(), 4);
+                let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("fits");
+                let label = format!("{} on {} × {}", q.kind(), adv.name(), partitioner.name());
+                assert_eq!(base.output, run.output, "{label}: merge across rounds diverged");
+                assert_eq!(run.rounds, 4, "{label}");
+                assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 1_200, "{label}");
+            }
+        }
     }
-    b.build()
 }
 
 #[test]
-fn forced_mid_run_replan_adopts_a_refit_and_stays_bit_identical() {
+fn key_holistic_families_refuse_a_multi_round_layout() {
+    // Split across two rounds, a HAVING key's local sums each miss the
+    // threshold its global sum clears (and a JOIN's streams never meet
+    // whole): the executor must refuse the layout, not answer wrongly.
     let cluster = Cluster::default();
-    let t = clustered_order_table(4_000);
-    let q = DbQuery::TopN { order_col: 1, n: 50 };
-    let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Range));
-    let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).expect("plan fits");
-
-    assert!(run.breakdown.replans >= 1, "supervisor must adopt a re-fit: {:?}", run.replan_events);
-    let adopted = run.replan_events.iter().find(|e| e.adopted).expect("an adopted event");
-    assert!(adopted.observed_imbalance > spec.imbalance_factor);
-    assert!(adopted.refit_load < adopted.current_load);
-    assert_eq!(run.rounds, 4, "rounds are what give the supervisor a mid-run");
-
-    // Bit-identical output despite rows moving between shards mid-run.
-    let base = cluster.run_baseline(&q, &t, None);
-    assert_eq!(base.output, run.output);
-    assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 4_000);
-
-    // The re-fit visibly de-serializes the tail of the input: without it,
-    // the hot span owns ~95 % of every round.
-    let hottest = run.per_shard.iter().map(|s| s.rows).max().unwrap_or(0);
-    assert!(hottest < 3_600, "hot shard still owns {hottest}/4000 rows — the re-fit did nothing");
-
-    // The same run with re-planning disabled keeps the degenerate layout
-    // (and still answers correctly — re-planning is a performance lever).
-    let mut pinned = spec.clone();
-    pinned.replan = false;
-    let run = cluster.run_cheetah_streamed(&q, &t, None, &pinned).expect("plan fits");
-    assert_eq!(run.breakdown.replans, 0);
-    assert!(run.replan_events.is_empty());
-    assert_eq!(base.output, run.output);
-    let pinned_hottest = run.per_shard.iter().map(|s| s.rows).max().unwrap_or(0);
-    assert!(pinned_hottest > hottest, "without the re-fit the hot span keeps its mass");
-}
-
-#[test]
-fn an_infinite_trigger_factor_never_replans() {
-    let cluster = Cluster::default();
-    let t = clustered_order_table(2_000);
-    let mut spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Range));
-    spec.imbalance_factor = f64::INFINITY;
-    let q = DbQuery::TopN { order_col: 1, n: 20 };
-    let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).expect("plan fits");
-    assert_eq!(run.breakdown.replans, 0);
-    assert!(run.replan_events.is_empty());
-    assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
+    let t = gen_table(2_000, 40, 3, 0x4A11);
+    for q in all_seven(500).into_iter().filter(|q| !q.merge_routing_agnostic()) {
+        let layout = rounds_layout(&cluster, &q, &t, 2, ShardPartitioner::Hash, 2);
+        let run = cluster.run_cheetah_streamed_resident(&q, &layout);
+        let err = run.expect_err("a key-holistic query must refuse a two-round layout");
+        assert!(err.to_string().contains("2 input rounds"), "{}: {err}", q.kind());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -175,21 +170,24 @@ fn streamed_execution_is_deterministic_end_to_end() {
         DbQuery::GroupByMax { key_col: 0, val_col: 1 },
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 },
     ] {
-        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
-        let a = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-        let b = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
+        let sharding = Sharding::Fixed(ShardSpec::new(4, ShardPartitioner::Hash));
+        let seed = cluster.tuning.seed;
+        let a = route_once(&q, &t, None, seed, sharding.clone(), None).run_streamed(&cluster);
+        let b = route_once(&q, &t, None, seed, sharding, None).run_streamed(&cluster);
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(a.output, b.output, "{}", q.kind());
         let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
         let rows_b: Vec<u64> = b.per_shard.iter().map(|s| s.rows).collect();
         assert_eq!(rows_a, rows_b, "{}: shard assignment must be deterministic", q.kind());
-        assert_eq!(a.replan_events, b.replan_events, "{}", q.kind());
         assert_eq!(a.breakdown.entries_to_master, b.breakdown.entries_to_master);
+        assert_eq!(a.switch_stats, b.switch_stats, "{}", q.kind());
     }
 }
 
 #[test]
 fn empty_and_tiny_tables_stream_cleanly() {
     let cluster = Cluster::default();
+    let seed = cluster.tuning.seed;
     let empty = TableBuilder::new(
         "empty",
         vec![
@@ -200,9 +198,10 @@ fn empty_and_tiny_tables_stream_cleanly() {
         8,
     )
     .build();
-    let spec = StreamSpec::fixed(ShardSpec::new(7, ShardPartitioner::Hash));
-    let run = cluster
-        .run_cheetah_streamed(&DbQuery::Distinct { col: 0 }, &empty, None, &spec)
+    let sharding = Sharding::Fixed(ShardSpec::new(7, ShardPartitioner::Hash));
+    let q = DbQuery::Distinct { col: 0 };
+    let run = route_once(&q, &empty, None, seed, sharding.clone(), None)
+        .run_streamed(&cluster)
         .expect("plan fits");
     assert_eq!(run.output, QueryOutput::Values(vec![]));
     assert_eq!(run.batches, 0);
@@ -210,7 +209,8 @@ fn empty_and_tiny_tables_stream_cleanly() {
     // and skipped, yet nothing is lost.
     let tiny = PlannerAdversary::Uniform.table(3, 1, 5);
     let q = DbQuery::TopN { order_col: 1, n: 2 };
-    let run = cluster.run_cheetah_streamed(&q, &tiny, None, &spec).expect("plan fits");
+    let layout = rounds_layout(&cluster, &q, &tiny, 7, ShardPartitioner::Hash, 4);
+    let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("plan fits");
     assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
     assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 3);
 }

@@ -14,10 +14,13 @@
 //! 4. **No stale layouts** — a table the caller drops takes its routed
 //!    layout with it, and a new table (which may reuse the freed
 //!    address) is answered from its own rows.
+//! 5. **Typed refusal of malformed requests** — a request its tables
+//!    cannot answer gets `Error::InvalidRequest` at admission, whichever
+//!    entry point it came through, and never costs the session a driver.
 
 mod common;
 
-use cheetah_db::{Cluster, DbQuery, QueryOutput, Table};
+use cheetah_db::{Cluster, DbPredicate, DbQuery, IntCmp, LikePattern, QueryOutput, Table};
 use cheetah_serve::{Error, QueryRequest, Session, SessionConfig};
 use std::sync::Arc;
 
@@ -197,4 +200,77 @@ fn dropped_tables_never_answer_for_their_successors() {
     }
     let evictions = session.registry().snapshot().counters["serve.layout_cache.evictions"];
     assert_eq!(evictions, rounds - 1, "every dropped table's layout is swept");
+}
+
+/// One malformed request per way a request can miss its tables (the
+/// fixtures have three columns: `key` Str, `a` Int, `b` Int).
+fn malformed(left: &Arc<Table>, right: &Arc<Table>) -> Vec<QueryRequest> {
+    let cmp = |col| DbPredicate::CmpInt { col, op: IntCmp::Gt, lit: 5 };
+    let unary = |q: DbQuery| QueryRequest::new(q, Arc::clone(left));
+    vec![
+        unary(DbQuery::Distinct { col: 9 }),
+        unary(DbQuery::FilterCount { pred: DbPredicate::And(Vec::new()) }),
+        unary(DbQuery::FilterCount { pred: cmp(0) }),
+        unary(DbQuery::FilterCount {
+            pred: DbPredicate::Like { col: 1, pattern: LikePattern::parse("key-%") },
+        }),
+        unary(DbQuery::FilterCount { pred: DbPredicate::And(vec![cmp(1); 17]) }),
+        unary(DbQuery::Skyline { cols: Vec::new() }),
+        unary(DbQuery::Skyline { cols: vec![1, 0] }),
+        unary(DbQuery::TopN { order_col: 0, n: 5 }),
+        unary(DbQuery::GroupByMax { key_col: 1, val_col: 0 }),
+        unary(DbQuery::HavingSum { key_col: 0, val_col: 3, threshold: 10 }),
+        unary(DbQuery::Join { left_key: 0, right_key: 0 }),
+        unary(DbQuery::Join { left_key: 0, right_key: 7 }).with_right(Arc::clone(right)),
+        unary(DbQuery::Distinct { col: 0 }).with_right(Arc::clone(right)),
+    ]
+}
+
+/// Property 5: malformed requests interleaved across tenants with valid
+/// ones. Every malformed one gets the typed error — through
+/// `run_blocking` and `submit` alike — every valid one still equals its
+/// baseline, and the session keeps answering afterwards.
+#[test]
+fn malformed_requests_get_a_typed_error_and_cost_no_driver() {
+    let cluster = Cluster::default();
+    let (left, right) = fixtures(0xBAD0);
+    let session = Session::new(cluster.clone(), SessionConfig::default());
+    let bad = malformed(&left, &right);
+    for req in bad.clone() {
+        let err = session.run_blocking(req).expect_err("malformed through run_blocking");
+        assert!(matches!(err, Error::InvalidRequest { .. }), "{err}");
+    }
+
+    let queries = common::all_seven(400_000);
+    let baselines: Vec<QueryOutput> = queries
+        .iter()
+        .map(|q| cluster.run_baseline(q, &left, q.is_binary().then_some(&*right)).output)
+        .collect();
+    let tenants = ["alpha", "beta", "gamma", "delta"];
+    let mut tickets = Vec::new();
+    for (i, req) in bad.iter().enumerate() {
+        let tenant = tenants[i % tenants.len()];
+        let q_idx = i % queries.len();
+        let valid = request(&queries[q_idx], &left, &right, tenant);
+        tickets.push((q_idx, session.submit(valid).expect("valid requests are admitted")));
+        match session.submit(req.clone().tenant(tenant)) {
+            Err(Error::InvalidRequest { reason }) => assert!(!reason.is_empty()),
+            Err(e) => panic!("{:?}: wrong error {e}", req.query()),
+            Ok(_) => panic!("{:?} was admitted", req.query()),
+        }
+    }
+    for (q_idx, ticket) in tickets {
+        let resp = ticket.wait().expect("valid requests complete next to malformed ones");
+        assert_eq!(resp.output, baselines[q_idx], "{}", queries[q_idx].kind());
+    }
+
+    // More malformed requests than drivers went by; every driver still
+    // serves.
+    for (q, want) in queries.iter().zip(&baselines) {
+        let resp = session.run_blocking(request(q, &left, &right, "after")).unwrap();
+        assert_eq!(&resp.output, want, "{} after the malformed burst", q.kind());
+    }
+    let stats = session.stats();
+    assert_eq!(stats.completed, (bad.len() + queries.len()) as u64);
+    assert_eq!(stats.rejected, 0, "malformed is not overload");
 }

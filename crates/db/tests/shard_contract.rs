@@ -1,7 +1,8 @@
 //! The shard equivalence gate: `Q(merge(shards(D))) = Q(D)` for **all
-//! seven** [`DbQuery`] variants, across shard counts {1, 2, 7} and both
-//! partitioners (hash and range), including empty-shard and
-//! all-rows-one-shard edge cases.
+//! seven** [`DbQuery`] variants, across shard counts {1, 2, 7}, both
+//! partitioners (hash and range) and both resident executors (pooled
+//! barrier and streamed) over one `route_once` layout, including
+//! empty-shard and all-rows-one-shard edge cases.
 //!
 //! This is the sharded layer's analogue of the pruning contract: sharding
 //! must be invisible in the output, only visible in the breakdown. CI runs
@@ -15,15 +16,62 @@ mod common;
 use common::{all_seven, gen_table};
 
 use cheetah_db::{
-    Cluster, DataType, DbQuery, ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
+    Cluster, DataType, DbQuery, ShardPartitioner, ShardSpec, ShardStats, Table, TableBuilder, Value,
 };
+use cheetah_runtime::{route_once, RoutedLayout, Sharding};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 const PARTITIONERS: [ShardPartitioner; 2] = [ShardPartitioner::Hash, ShardPartitioner::Range];
 
+/// `q` over `left` (and `right`) routed once under a fixed spec.
+fn route(q: &DbQuery, left: &Table, right: Option<&Table>, spec: ShardSpec) -> RoutedLayout {
+    let seed = Cluster::default().tuning.seed;
+    route_once(q, left, right, seed, Sharding::Fixed(spec), None)
+}
+
+/// Run one layout on both resident executors and assert the contract on
+/// each: the baseline's output, the layout's shard count, no row lost.
+/// Returns the pooled run's per-shard accounting.
+fn assert_both_executors(
+    cluster: &Cluster,
+    q: &DbQuery,
+    left: &Table,
+    right: Option<&Table>,
+    spec: ShardSpec,
+) -> Vec<ShardStats> {
+    let base = cluster.run_baseline(q, left, right);
+    let routed = route(q, left, right, spec);
+    let pooled = routed.run_pooled(cluster).expect("plan fits");
+    let streamed = routed.run_streamed(cluster).expect("plan fits");
+    let total = left.rows() as u64 + right.map_or(0, |r| r.rows() as u64);
+    for (executor, output, breakdown, per_shard) in [
+        ("pooled", &pooled.output, &pooled.breakdown, &pooled.per_shard),
+        ("streamed", &streamed.output, &streamed.breakdown, &streamed.per_shard),
+    ] {
+        let what = format!(
+            "{} at {} shards under {} routing on the {executor} executor",
+            q.kind(),
+            spec.shards,
+            spec.partitioner.name()
+        );
+        assert_eq!(&base.output, output, "{what} diverged");
+        assert_eq!(breakdown.shards, spec.shards as u32, "{what}");
+        assert_eq!(per_shard.len(), spec.shards, "{what}");
+        let routed: u64 = per_shard.iter().map(|s| s.rows).sum();
+        assert_eq!(routed, total, "{what}: rows lost in routing");
+        if total == 0 {
+            assert_eq!(breakdown.entries_to_master, 0, "{what}");
+            assert_eq!(breakdown.master_ingest_seconds, 0.0, "{what}");
+            assert_eq!(breakdown.overlap_seconds, 0.0, "{what}");
+        }
+    }
+    pooled.per_shard
+}
+
 /// Assert the full grid: every query, every shard count, every
-/// partitioner, against both the baseline and the unsharded Cheetah run.
+/// partitioner, both executors, against both the baseline and the
+/// unsharded Cheetah run.
 fn assert_shard_contract(cluster: &Cluster, left: &Table, right: &Table, threshold: i64) {
     for q in all_seven(threshold) {
         let right_of = q.is_binary().then_some(right);
@@ -33,21 +81,7 @@ fn assert_shard_contract(cluster: &Cluster, left: &Table, right: &Table, thresho
         for partitioner in PARTITIONERS {
             for shards in SHARD_COUNTS {
                 let spec = ShardSpec::new(shards, partitioner);
-                let sharded =
-                    cluster.run_cheetah_sharded(&q, left, right_of, &spec).expect("plan fits");
-                assert_eq!(
-                    base.output,
-                    sharded.output,
-                    "{} diverged at {} shards under {} routing",
-                    q.kind(),
-                    shards,
-                    partitioner.name()
-                );
-                assert_eq!(sharded.breakdown.shards, shards as u32);
-                assert_eq!(sharded.per_shard.len(), shards);
-                let routed: u64 = sharded.per_shard.iter().map(|s| s.rows).sum();
-                let total = left.rows() as u64 + right_of.map_or(0, |r| r.rows() as u64);
-                assert_eq!(routed, total, "{}: rows lost in routing", q.kind());
+                assert_both_executors(cluster, &q, left, right_of, spec);
             }
         }
     }
@@ -90,8 +124,8 @@ fn fewer_rows_than_shards_leaves_empty_shards() {
     assert_shard_contract(&cluster, &left, &right, 0);
     let q = DbQuery::Distinct { col: 0 };
     let spec = ShardSpec::new(7, ShardPartitioner::Hash);
-    let run = cluster.run_cheetah_sharded(&q, &left, None, &spec).unwrap();
-    assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
+    let per_shard = assert_both_executors(&cluster, &q, &left, None, spec);
+    assert!(per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
 }
 
 #[test]
@@ -119,8 +153,8 @@ fn constant_key_routes_all_rows_to_one_shard() {
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 100 },
     ] {
         let spec = ShardSpec::new(5, ShardPartitioner::Hash);
-        let run = cluster.run_cheetah_sharded(&q, &table, None, &spec).unwrap();
-        let nonempty: Vec<u64> = run.per_shard.iter().map(|s| s.rows).filter(|&r| r > 0).collect();
+        let per_shard = assert_both_executors(&cluster, &q, &table, None, spec);
+        let nonempty: Vec<u64> = per_shard.iter().map(|s| s.rows).filter(|&r| r > 0).collect();
         assert_eq!(nonempty, vec![300], "{}: keyed routing must co-locate the key", q.kind());
     }
 }
@@ -134,9 +168,9 @@ fn range_routing_keeps_topn_value_locality() {
     let left = gen_table(800, 40, 3, 77);
     let q = DbQuery::TopN { order_col: 1, n: 10 };
     let single = cluster.run_cheetah(&q, &left, None).unwrap();
-    let spec = ShardSpec::new(2, ShardPartitioner::Range);
-    let run = cluster.run_cheetah_sharded(&q, &left, None, &spec).unwrap();
-    assert_eq!(single.output, run.output);
+    let routed = route(&q, &left, None, ShardSpec::new(2, ShardPartitioner::Range));
+    assert_eq!(single.output, routed.run_pooled(&cluster).unwrap().output);
+    assert_eq!(single.output, routed.run_streamed(&cluster).unwrap().output);
 }
 
 #[test]
@@ -165,17 +199,9 @@ fn having_sum_spanning_threshold_only_globally_is_not_lost() {
     let table = b.build();
     let cluster = Cluster::default();
     let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 1_000 };
-    let base = cluster.run_baseline(&q, &table, None);
     for partitioner in PARTITIONERS {
         for shards in SHARD_COUNTS {
-            let spec = ShardSpec::new(shards, partitioner);
-            let run = cluster.run_cheetah_sharded(&q, &table, None, &spec).unwrap();
-            assert_eq!(
-                base.output,
-                run.output,
-                "threshold-spanning key lost at {shards} shards ({})",
-                partitioner.name()
-            );
+            assert_both_executors(&cluster, &q, &table, None, ShardSpec::new(shards, partitioner));
         }
     }
 }

@@ -17,7 +17,7 @@
 mod common;
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
-use cheetah_runtime::{FaultSpec, StreamSpec, StreamedExecution};
+use cheetah_runtime::{route_once, FaultSpec, Sharding, StreamLayout, StreamedExecution};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{Registry, Trace, TraceTree};
 use std::sync::Arc;
@@ -155,16 +155,26 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let cluster = Cluster::default();
     let t = common::gen_table(1_500, 60, 3, 0xBAD);
     let q = DbQuery::Distinct { col: 0 };
-    let mut spec = StreamSpec::fixed(ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash));
-    spec.batch = Some(4); // many small frames → many fault draws
-    spec.fault = Some(FaultSpec::harsh(0xC0FFEE));
+    let spec = Sharding::Fixed(ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash));
+    let routed = route_once(&q, &t, None, cluster.tuning.seed, spec, None);
+    // Many small frames → many fault draws.
+    let lossy = StreamLayout::from_units(
+        vec![routed.left.clone()],
+        None,
+        routed.ingest,
+        routed.decision,
+        None,
+        Some(4),
+        None,
+    )
+    .with_fault(FaultSpec::harsh(0xC0FFEE));
 
     let registry = Registry::new();
     let trace = Trace::new(registry.clone());
     let root = trace.span("query");
     let run = {
         let _g = root.enter();
-        cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap()
+        cluster.run_cheetah_streamed_resident(&routed.query, &lossy).unwrap()
     };
     root.finish();
     assert!(run.breakdown.retransmits > 0, "harsh channel must force resends");

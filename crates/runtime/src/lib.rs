@@ -1,25 +1,37 @@
-//! # cheetah-runtime — the event-driven streamed shard runtime
+//! # cheetah-runtime — route once, run resident
 //!
-//! The barrier twins ([`Cluster::run_cheetah_sharded`] /
-//! [`Cluster::run_cheetah_planned`]) join every shard worker at a
-//! `std::thread::scope` barrier before the master touches a single
-//! survivor: one slow (skewed) shard stalls the whole merge, exactly the
-//! fan-in cost the [`MasterIngestModel`](cheetah_net::MasterIngestModel)
-//! curve predicts. This crate replaces the join-barrier dataflow with a
-//! streaming one — the third twin,
-//! [`run_cheetah_streamed`](StreamedExecution::run_cheetah_streamed),
-//! sharing the barrier paths' routing keys, sharders, and planner:
+//! In the paper's deployment (§2) rows are partitioned across workers
+//! once, each worker's switch prunes its slice, and the master completes
+//! the query. This crate is that dataflow, in two steps:
+//!
+//! 1. [`route_once`] turns a query's tables into resident per-shard
+//!    slices — routing keys, a fixed or planned sharder, slices projected
+//!    to the columns the query reads — and wraps the same slices as a
+//!    one-round [`StreamLayout`].
+//! 2. One of two executors runs the slices, as often as needed, on the
+//!    persistent [`WorkerPool`]:
+//!    * the **pooled barrier** executor
+//!      ([`PooledExecution::run_cheetah_presplit`]) runs every shard as a
+//!      pool job and merges once all of them have finished;
+//!    * the **streamed** executor
+//!      ([`StreamedExecution::run_cheetah_streamed_resident`]) streams
+//!      each shard's survivors in batches into an incremental merge while
+//!      slower shards are still pruning.
 //!
 //! ```text
-//!        router (rounds, re-plans)           workers (N threads)
-//!  rows ──────route by sharder──────▶ [unit ch] ─▶ prune shard slice
-//!    ▲                                              │ survivor batches
-//!    │ supervisor: dispatched-load                  ▼ (bounded channel)
-//!    └─ imbalance > 2×? re-fit ◀──── counters   master merge plane
-//!       boundaries for the rest                 MergeState::ingest_batch
+//!   tables ──route_once──▶ resident slices ──┬─▶ pooled barrier ─▶ join ─▶ merge
+//!                                            └─▶ streamed workers
+//!                                                  │ survivor batches
+//!                                                  ▼ (bounded channel)
+//!                                                master merge plane
+//!                                                MergeState::ingest_batch
 //! ```
 //!
-//! * **Overlap** — workers decompose each completed slice into
+//! The serving session (`cheetah-serve`) picks between the two executors
+//! per request with its path chooser; both run [`Cluster::run_cheetah`]
+//! per shard, so they answer identically.
+//!
+//! * **Overlap** — streamed workers decompose each completed slice into
 //!   [`MergeItem`](cheetah_db::MergeItem)s and stream them in
 //!   [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames over a
 //!   *bounded* channel (backpressure is the flow control); the master
@@ -32,11 +44,9 @@
 //!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)):
 //!   big enough to amortize framing, small enough that the aggregate
 //!   in-flight entries keep the merge plane in its linear service regime.
-//! * **Mid-run re-planning** — a [`RuntimeSupervisor`] watches per-shard
-//!   dispatch counters between input rounds; when observed load imbalance
-//!   exceeds the planner's 2× bound it re-samples the *remaining* routing
-//!   keys via `cheetah_core::plan` and re-fits quantile boundaries for
-//!   the rest of the input.
+//! * **Faulty channel** — [`StreamLayout::with_fault`] sends every
+//!   survivor frame across a seeded lossy link and runs the §7.2
+//!   go-back-N machinery for real.
 //!
 //! ## When overlap pays
 //!
@@ -44,8 +54,7 @@
 //! serialized **behind the slowest shard**. It pays when
 //!
 //! 1. shard completion times are *spread* — skewed loads
-//!    (`cheetah_workloads::skew`), a straggling worker, or a fitted plan
-//!    gone stale mid-run; and
+//!    (`cheetah_workloads::skew`) or a straggling worker; and
 //! 2. the master has real per-survivor merge work to hide — large
 //!    survivor sets (low pruning rates) or expensive folds (SKYLINE
 //!    dominance, wide GROUP BY key spaces).
@@ -56,29 +65,27 @@
 //! only framing overhead. The `runtime` bench experiment measures both
 //! regimes on the zipf(1.5) and single-hot-key adversaries.
 //!
-//! ## What streams, and what cannot
+//! ## Input rounds
 //!
-//! Input *rounds* (and therefore re-planning) require the master merge to
-//! be correct under any assignment of rows to executor runs
+//! A [`StreamLayout`] built with [`StreamLayout::from_units`] may cut the
+//! input into several rounds, each a separate executor run per shard.
+//! That is only correct when the master merge holds under any assignment
+//! of rows to executor runs
 //! ([`DbQuery::merge_routing_agnostic`](cheetah_db::DbQuery::merge_routing_agnostic)):
 //! re-prune merges, count sums, and GROUP BY MAX qualify. HAVING (local
 //! sum + threshold must see every row of a key) and JOIN (both streams
-//! must meet inside one run) execute as a single round per shard — they
-//! still stream their survivor batches, so the merge of early shards
-//! overlaps late shards, but their routing is pinned for the whole run.
+//! must meet inside one run) are refused a multi-round layout with a
+//! typed error.
 //!
-//! [`Cluster::run_cheetah_sharded`]: cheetah_db::Cluster::run_cheetah_sharded
-//! [`Cluster::run_cheetah_planned`]: cheetah_db::Cluster::run_cheetah_planned
+//! [`Cluster::run_cheetah`]: cheetah_db::Cluster::run_cheetah
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod pool;
+pub mod route;
 pub mod runtime;
-pub mod supervisor;
 
-pub use config::{FaultSpec, ShardLayout, StreamSpec};
 pub use pool::{PooledExecution, WorkerPool, WorkerScratch};
-pub use runtime::{StreamLayout, StreamedExecution, StreamedRun};
-pub use supervisor::{ReplanEvent, RuntimeSupervisor};
+pub use route::{route_once, RoutedLayout, RoutingKeys, Sharding};
+pub use runtime::{FaultSpec, StreamLayout, StreamedExecution, StreamedRun};

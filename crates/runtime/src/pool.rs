@@ -1,11 +1,10 @@
-//! A persistent shard-worker pool.
+//! A persistent shard-worker pool, and the barrier executor that runs on
+//! it.
 //!
-//! The barrier twins spin up one `std::thread::scope` worker per shard
-//! per query and tear them all down at the join — at smoke scale
-//! (thousands of reps over a few thousand rows) thread spin-up and the
-//! per-run allocation churn are a measurable slice of the gap between
-//! `distinct` and `distinct@shards4`. This module keeps both out of the
-//! per-query path:
+//! Spawning one thread per shard per query, and tearing them all down at
+//! the join, costs a measurable slice of a small query (thousands of
+//! reps over a few thousand rows at smoke scale). This module keeps both
+//! the spawn and the per-run allocation churn out of the per-query path:
 //!
 //! * [`WorkerPool`] owns long-lived worker threads fed through one
 //!   shared injector queue. Spawning a job is a channel send, not a
@@ -13,12 +12,11 @@
 //! * Each worker owns a [`WorkerScratch`] whose arena allocations (the
 //!   [`FrameBuilder`] behind survivor-batch framing) survive from query
 //!   to query, so steady-state framing allocates nothing.
-//! * [`PooledExecution`] re-bases the barrier dataflow on the pool: the
-//!   per-shard executor runs become pool jobs and the master-side
-//!   accounting is `cheetah_db::finish_sharded` — the same merge
-//!   semantics as `run_cheetah_sharded`, minus the thread churn. The
-//!   streamed twin ([`crate::StreamedExecution`]) routes its shard
-//!   workers through the same pool.
+//! * [`PooledExecution`] is the barrier executor: each shard's resident
+//!   slice runs [`Cluster::run_cheetah`] as a pool job, the master joins
+//!   them all and merges the outputs at the master. The
+//!   streamed executor ([`crate::StreamedExecution`]) runs its shard
+//!   workers on the same pool.
 //!
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
@@ -28,16 +26,17 @@
 //! the thread that submitted it, which keeps the pool deadlock-free
 //! even at one worker.
 
-use bytes::BytesMut;
 use cheetah_core::plan::{PlanDecision, ShardPlan};
 use cheetah_db::{
-    finish_sharded, fixed_sharder, route_range, routing_keys, Cluster, DbQuery, MasterIngestModel,
-    ShardSpec, ShardedRun, Sharder, Table,
+    merge_shard_outputs, CheetahRun, Cluster, DbQuery, ExecBreakdown, MasterIngestModel,
+    QueryOutput, ShardStats, ShardedRun, Table,
 };
 use cheetah_net::FrameBuilder;
+use cheetah_switch::ProgramStats;
 use cheetah_telemetry::SpanContext;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Per-worker reusable state, handed to every job the worker runs.
 ///
@@ -49,14 +48,11 @@ pub struct WorkerScratch {
     /// Survivor-batch frame builder; `finish()` leaves capacity behind
     /// for the next frame.
     pub frames: FrameBuilder,
-    /// Spare encode buffer for jobs that frame nothing but still want a
-    /// warm scratch allocation.
-    pub bytes: BytesMut,
 }
 
 impl WorkerScratch {
     fn new() -> Self {
-        Self { frames: FrameBuilder::new(), bytes: BytesMut::new() }
+        Self { frames: FrameBuilder::new() }
     }
 }
 
@@ -99,7 +95,7 @@ impl WorkerPool {
         Self { injector: Mutex::new(tx), workers }
     }
 
-    /// The process-wide pool both execution twins route through. Sized
+    /// The process-wide pool both executors run on. Sized
     /// at `max(available_parallelism, 8)` so every shard count the
     /// bench sweeps exercises can be in flight at once.
     pub fn global() -> &'static WorkerPool {
@@ -126,72 +122,21 @@ impl WorkerPool {
     }
 }
 
-/// The pooled barrier twin, implemented for [`Cluster`] —
+/// The pooled barrier executor, implemented for [`Cluster`] —
 /// `use cheetah_runtime::PooledExecution` brings
-/// `cluster.run_cheetah_pooled(..)` into scope next to
-/// `run_cheetah_sharded`. Same dataflow, same merge, same accounting
-/// (`cheetah_db::finish_sharded`); the only difference is that shard
-/// executors run on [`WorkerPool::global`] instead of freshly spawned
-/// scoped threads.
+/// `cluster.run_cheetah_presplit(..)` into scope.
 pub trait PooledExecution {
-    /// Barrier-sharded execution on the persistent pool: route by the
-    /// spec's partitioner, run each shard's slice as a pool job, join,
-    /// merge at the master. Output is bit-identical to
-    /// `run_cheetah_sharded` with the same spec.
+    /// Run `q` over shard slices that were already routed — the
+    /// deployment model's steady state: each worker holds its slice of
+    /// the table from ingest on, so the shuffle is not part of query
+    /// latency. Each shard runs as a pool job, the master joins them all
+    /// and merges. Handing workers `Arc` clones keeps repeat queries over
+    /// the same layout allocation-free on the input side.
     ///
-    /// **Deprecated**: prefer the serving plane's front door — build a
-    /// `cheetah_serve::QueryRequest` (pin `.path(BarrierPooled)` and a
-    /// shard count) and call `Session::run_blocking` /
-    /// `Session::submit`. This entry point stays as the shim the
-    /// serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    fn run_cheetah_pooled(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &ShardSpec,
-    ) -> cheetah_core::Result<ShardedRun>;
-
-    /// The prepared-routing entry: the caller already derived routing
-    /// keys and fitted a sharder (e.g. once, outside a timed region),
-    /// so this call pays only routing + execution + merge. The pooled
-    /// sibling of `Cluster::run_cheetah_routed`.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — the
-    /// `Session` layout cache keeps fitted sharders and routed slices
-    /// resident per (shape, table, shard count), so a
-    /// `cheetah_serve::QueryRequest` pays execution only on repeats
-    /// without hand-threading keys. This entry point stays as the shim
-    /// the serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn run_cheetah_pooled_routed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        left_keys: &[u64],
-        right_keys: Option<&[u64]>,
-        sharder: &Sharder,
-        ingest: &MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-    ) -> cheetah_core::Result<ShardedRun>;
-
-    /// The resident-data entry: shard slices were already routed (the
-    /// deployment model's steady state — each worker holds its slice of
-    /// the table from ingest on, the shuffle is not part of query
-    /// latency). Pays only per-shard execution + master merge; handing
-    /// workers `Arc` clones keeps repeat queries over the same layout
-    /// allocation-free on the input side.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — the
-    /// `Session` routes once, caches the `Arc` slices, and dispatches
-    /// repeat `cheetah_serve::QueryRequest`s against the resident
-    /// layout. This entry point stays as the shim the serving plane
-    /// itself executes through and the contract gates verify against.
-    #[doc(hidden)]
+    /// Route the slices with [`route_once`](crate::route_once), which
+    /// also renumbers the query for them; `RoutedLayout::run_pooled`
+    /// makes this call. Output equals `run_baseline`'s for every query
+    /// shape.
     fn run_cheetah_presplit(
         &self,
         q: &DbQuery,
@@ -204,57 +149,6 @@ pub trait PooledExecution {
 }
 
 impl PooledExecution for Cluster {
-    fn run_cheetah_pooled(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &ShardSpec,
-    ) -> cheetah_core::Result<ShardedRun> {
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let sharder = fixed_sharder(spec, seed, &key_slices);
-        self.run_cheetah_pooled_routed(
-            q,
-            left,
-            right,
-            &left_keys,
-            right_keys.as_deref(),
-            &sharder,
-            &spec.ingest,
-            PlanDecision::Fixed(spec.partitioner),
-            None,
-        )
-    }
-
-    fn run_cheetah_pooled_routed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        left_keys: &[u64],
-        right_keys: Option<&[u64]>,
-        sharder: &Sharder,
-        ingest: &MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-    ) -> cheetah_core::Result<ShardedRun> {
-        let left_shards: Vec<Arc<Table>> = route_range(left, left_keys, sharder, 0, left.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let right_shards: Option<Vec<Arc<Table>>> = right.map(|r| {
-            route_range(r, right_keys.expect("keys computed"), sharder, 0, r.rows())
-                .into_iter()
-                .map(Arc::new)
-                .collect()
-        });
-        self.run_cheetah_presplit(q, &left_shards, right_shards.as_deref(), ingest, decision, plan)
-    }
-
     fn run_cheetah_presplit(
         &self,
         q: &DbQuery,
@@ -319,11 +213,80 @@ impl PooledExecution for Cluster {
     }
 }
 
+/// Merge and account a set of per-shard executor runs into a
+/// [`ShardedRun`] — the master-side tail of the barrier dataflow.
+/// `rows_per_shard[s]` is the rows routed to shard `s` (left + right
+/// stream); `runs[s]` is that shard's completed executor run.
+fn finish_sharded(
+    q: &DbQuery,
+    runs: Vec<CheetahRun>,
+    rows_per_shard: &[u64],
+    ingest: &MasterIngestModel,
+    decision: PlanDecision,
+    plan: Option<ShardPlan>,
+) -> ShardedRun {
+    assert_eq!(runs.len(), rows_per_shard.len(), "one row count per shard run");
+    let per_shard: Vec<ShardStats> = runs
+        .iter()
+        .zip(rows_per_shard)
+        .map(|(run, &rows)| ShardStats {
+            rows,
+            worker_seconds: run.breakdown.worker_seconds,
+            master_seconds: run.breakdown.master_seconds,
+            worker_wire_bytes: run.breakdown.worker_wire_bytes,
+            master_wire_bytes: run.breakdown.master_wire_bytes,
+            entries_to_master: run.breakdown.entries_to_master,
+            seen: run.switch_stats.seen,
+            pruned: run.switch_stats.pruned,
+        })
+        .collect();
+    let entries_per_shard: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
+    let switch_stats = runs.iter().fold(ProgramStats::default(), |mut acc, r| {
+        acc.seen += r.switch_stats.seen;
+        acc.pruned += r.switch_stats.pruned;
+        acc.forwarded += r.switch_stats.forwarded;
+        acc
+    });
+    let passes = runs.iter().map(|r| r.breakdown.passes).max().unwrap_or(1);
+    let rules = runs.iter().map(|r| r.rules).max().unwrap_or(0);
+    // Every shard ran the same cluster, so the first run's backend speaks
+    // for all of them (a compiled-requested run that fell back records
+    // the fallback here too).
+    let backend = runs.first().map(|r| r.breakdown.backend).unwrap_or_default();
+
+    // Master: merge the shard outputs. Stats are extracted above so
+    // the outputs move into the merge — the timed window is the
+    // re-prune/key-union work alone, not avoidable clones.
+    let outputs: Vec<QueryOutput> = runs.into_iter().map(|r| r.output).collect();
+    let t0 = Instant::now();
+    let output = merge_shard_outputs(q, outputs);
+    let merge_seconds = t0.elapsed().as_secs_f64();
+
+    let breakdown = ExecBreakdown {
+        // Shard workers run concurrently: the slowest bounds the phase.
+        worker_seconds: per_shard.iter().map(|s| s.worker_seconds).fold(0.0, f64::max),
+        // The master is one machine: shard completions + merge add up.
+        master_seconds: per_shard.iter().map(|s| s.master_seconds).sum::<f64>() + merge_seconds,
+        worker_wire_bytes: per_shard.iter().map(|s| s.worker_wire_bytes).max().unwrap_or(0),
+        master_wire_bytes: per_shard.iter().map(|s| s.master_wire_bytes).sum(),
+        entries_to_master: entries_per_shard.iter().sum(),
+        passes,
+        shards: rows_per_shard.len() as u32,
+        master_ingest_seconds: ingest.blocking_latency_sharded(&entries_per_shard),
+        plan: Some(decision),
+        overlap_seconds: 0.0,
+        backend,
+        ..ExecBreakdown::default()
+    };
+    ShardedRun { output, breakdown, switch_stats, per_shard, merge_seconds, rules, plan }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{route_once, Sharding};
     use cheetah_core::ShardPartitioner;
-    use cheetah_db::{DataType, DbPredicate, IntCmp, TableBuilder, Value};
+    use cheetah_db::{DataType, ShardSpec, TableBuilder, Value};
 
     fn table(rows: usize) -> Table {
         let mut b = TableBuilder::new(
@@ -340,62 +303,31 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_scoped_barrier_run() {
-        let cluster = Cluster::default();
-        let t = table(2_000);
-        for q in [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::FilterCount {
-                pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 4_000 },
-            },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-        ] {
-            for shards in [1usize, 3, 4] {
-                let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
-                let scoped = cluster.run_cheetah_sharded(&q, &t, None, &spec).unwrap();
-                let pooled = cluster.run_cheetah_pooled(&q, &t, None, &spec).unwrap();
-                assert_eq!(scoped.output, pooled.output, "{} @ {shards}", q.kind());
-                assert_eq!(scoped.breakdown.shards, pooled.breakdown.shards);
-                assert_eq!(
-                    scoped.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                    pooled.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pool_reuse_is_bit_identical_across_back_to_back_variants() {
         // The pool's scratch state (frame arenas, encode buffers) must
         // never leak between queries: interleave different variants
         // back-to-back on the same global pool and require every repeat
         // to reproduce its first answer exactly.
-        use crate::{config::StreamSpec, runtime::StreamedExecution};
         let cluster = Cluster::default();
         let t = table(1_500);
-        let queries = [
+        let spec = ShardSpec::new(4, ShardPartitioner::Hash);
+        let layouts: Vec<_> = [
             DbQuery::Distinct { col: 0 },
             DbQuery::GroupByMax { key_col: 0, val_col: 1 },
             DbQuery::TopN { order_col: 1, n: 10 },
-        ];
-        let spec = ShardSpec::new(4, ShardPartitioner::Hash);
-        let stream = StreamSpec::fixed(spec);
-        let first: Vec<_> = queries
-            .iter()
-            .map(|q| {
-                (
-                    cluster.run_cheetah_pooled(q, &t, None, &spec).unwrap().output,
-                    cluster.run_cheetah_streamed(q, &t, None, &stream).unwrap().output,
-                )
-            })
-            .collect();
+        ]
+        .iter()
+        .map(|q| {
+            let routed = route_once(q, &t, None, cluster.tuning.seed, Sharding::Fixed(spec), None);
+            (cluster.run_baseline(q, &t, None).output, routed)
+        })
+        .collect();
         for round in 0..3 {
-            for (q, (pooled0, streamed0)) in queries.iter().zip(&first) {
-                let pooled = cluster.run_cheetah_pooled(q, &t, None, &spec).unwrap();
-                let streamed = cluster.run_cheetah_streamed(q, &t, None, &stream).unwrap();
-                assert_eq!(&pooled.output, pooled0, "{} round {round}", q.kind());
-                assert_eq!(&streamed.output, streamed0, "{} round {round}", q.kind());
-                assert_eq!(pooled.output, cluster.run_baseline(q, &t, None).output);
+            for (base, routed) in &layouts {
+                let pooled = routed.run_pooled(&cluster).unwrap();
+                let streamed = routed.run_streamed(&cluster).unwrap();
+                assert_eq!(&pooled.output, base, "{} round {round}", routed.query.kind());
+                assert_eq!(&streamed.output, base, "{} round {round}", routed.query.kind());
             }
         }
     }

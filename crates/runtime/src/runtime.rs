@@ -1,15 +1,13 @@
-//! The streamed dataflow: router → pooled shard workers → incremental
+//! The streamed dataflow: dispatcher → pooled shard workers → incremental
 //! merge.
 //!
 //! Three roles share the run:
 //!
-//! * the **router** (the calling thread, before the merge plane starts)
-//!   walks the input in rounds, routes each round's rows by the current
-//!   [`Sharder`](cheetah_core::Sharder) into per-shard sub-tables
-//!   ([`route_range`], shared with the barrier twins), dispatches them
-//!   as work units over *unbounded* channels (so routing never blocks
-//!   behind a slow worker), and lets the [`RuntimeSupervisor`] re-fit
-//!   the boundaries between rounds;
+//! * the **dispatcher** (the calling thread, before the merge plane
+//!   starts) walks a resident [`StreamLayout`] round by round and hands
+//!   each shard its already-routed slices as work units, `Arc` clones
+//!   over *unbounded* channels (so dispatch never blocks behind a slow
+//!   worker);
 //! * one **worker job** per shard — submitted to the persistent
 //!   [`WorkerPool`], not spawned per query — runs
 //!   the unchanged generic executor on each unit, encodes the survivors
@@ -18,7 +16,7 @@
 //!   streams the finished [`SurvivorBatch`] frames over a *bounded*
 //!   channel (a full channel blocks the worker — the backpressure that
 //!   stands in for sender pacing);
-//! * the **master merge plane** (the calling thread again, once routing
+//! * the **master merge plane** (the calling thread again, once dispatch
 //!   is done) parses frames zero-copy and folds the survivor slices
 //!   into a [`MergeState`] as they arrive — no per-item re-decode into
 //!   owned `MergeItem`s, no join barrier.
@@ -27,36 +25,31 @@
 //! merge work performed while the slowest worker was still computing —
 //! can be read directly out of the event log afterwards.
 
-use crate::config::{FaultSpec, ShardLayout, StreamSpec};
 use crate::pool::WorkerPool;
-use crate::supervisor::{ReplanEvent, RuntimeSupervisor};
 use bytes::Bytes;
 use cheetah_core::plan::{PlanDecision, ShardPlan};
-use cheetah_db::{
-    decompose_output, fixed_sharder, route_range, routing_keys, Cluster, DbQuery, MergeState,
-    QueryOutput, ShardStats, Table,
-};
+use cheetah_db::{decompose_output, Cluster, DbQuery, MergeState, QueryOutput, ShardStats, Table};
 use cheetah_net::{
-    ExecBackend, ExecBreakdown, MasterIngestModel, SimRng, SurvivorBatch, SwitchAction, SwitchFlow,
-    WorkerFlow, MAX_BATCH_ITEMS,
+    ExecBackend, ExecBreakdown, FaultProfile, MasterIngestModel, SimRng, SurvivorBatch,
+    SwitchAction, SwitchFlow, WorkerFlow, MAX_BATCH_ITEMS,
 };
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::SpanContext;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Result of a streamed Cheetah execution — the streaming sibling of
 /// `cheetah_db::ShardedRun`, with the runtime's own telemetry on top.
 #[derive(Debug, Clone)]
 pub struct StreamedRun {
-    /// Merged, normalized query output — equal to the barrier runs' and
+    /// Merged, normalized query output — equal to the barrier run's and
     /// the baseline's.
     pub output: QueryOutput,
     /// Phase breakdown. `master_seconds` already discounts
     /// `overlap_seconds` (merge work hidden behind still-running
-    /// workers), so `completion_seconds` stays comparable across the
-    /// three twins.
+    /// workers), so `completion_seconds` stays comparable with the
+    /// barrier executor's.
     pub breakdown: ExecBreakdown,
     /// Switch statistics summed across every shard's per-round programs.
     pub switch_stats: ProgramStats,
@@ -71,77 +64,34 @@ pub struct StreamedRun {
     pub batches: u64,
     /// Modelled wire bytes of those frames.
     pub batch_wire_bytes: u64,
-    /// Input rounds the router dispatched (1 for key-holistic queries).
+    /// Input rounds the layout dispatched (1 for key-holistic queries).
     pub rounds: usize,
-    /// The supervisor's intervention log (adopted and rejected re-fits).
-    pub replan_events: Vec<ReplanEvent>,
     /// The up-front plan, when the layout was planner-chosen.
     pub plan: Option<ShardPlan>,
     /// Control-plane rules of the largest per-shard program.
     pub rules: usize,
 }
 
-/// The streamed execution entry point, implemented for
-/// [`Cluster`] — `use cheetah_runtime::StreamedExecution` brings
-/// `cluster.run_cheetah_streamed(..)` into scope as the third twin next
-/// to `run_cheetah_sharded` / `run_cheetah_planned`.
+/// The streamed executor, implemented for [`Cluster`] —
+/// `use cheetah_runtime::StreamedExecution` brings
+/// `cluster.run_cheetah_streamed_resident(..)` into scope next to the
+/// pooled barrier executor ([`PooledExecution`](crate::PooledExecution)).
 pub trait StreamedExecution {
-    /// Execute `q` through the event-driven shard runtime: route rows in
-    /// rounds, prune per shard on worker threads, stream survivor
-    /// batches into the incremental master merge, re-plan mid-run when
-    /// the supervisor sees the load tip over.
+    /// Run `q` over a resident [`StreamLayout`]: workers prune their
+    /// already-routed slices (`Arc` handles, no row is copied) on the
+    /// persistent pool, frame the survivors into batches, and the master
+    /// folds each batch into an incremental merge as it lands — no join
+    /// barrier. Build the layout with [`route_once`](crate::route_once)
+    /// (one round) or [`StreamLayout::from_units`] (any rounds), and run
+    /// it as often as you like.
     ///
     /// Output equals `run_baseline`'s for every query shape — streaming
     /// changes *when* survivors reach the master, never *what* the query
-    /// answers.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — build a
-    /// `cheetah_serve::QueryRequest` (pin `.path(StreamedResident)` or
-    /// let the bandit choose) and call `Session::run_blocking` /
-    /// `Session::submit`. This entry point stays as the shim the
-    /// serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    fn run_cheetah_streamed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> cheetah_core::Result<StreamedRun>;
-
-    /// Derive everything layout-shaped about a streamed run — routing
-    /// keys, the fitted sharder, and the per-round, per-shard input
-    /// slices — without executing it. The returned [`StreamLayout`] is
-    /// the streaming analogue of pre-routed resident data: build it once
-    /// at ingest time, run [`run_cheetah_streamed_resident`] against it
-    /// as often as you like.
-    ///
-    /// [`run_cheetah_streamed_resident`]: StreamedExecution::run_cheetah_streamed_resident
-    fn plan_stream(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> StreamLayout;
-
-    /// The resident-data streamed twin: workers stream their
-    /// already-routed slices (`Arc` handles out of a [`StreamLayout`])
-    /// through the same pooled prune → frame → incremental-merge plane
-    /// as [`run_cheetah_streamed`]. No keys are derived, no rows are
-    /// cloned, no supervisor runs — the layout is fixed by construction,
-    /// so there is nothing to re-fit mid-run. Output is identical to the
-    /// routing twin's when no mid-run re-plan fired there.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — the
-    /// `Session` assembles and caches `StreamLayout`s per (shape,
-    /// table, shard count) and dispatches streamed
-    /// `cheetah_serve::QueryRequest`s against them. This entry point
-    /// stays as the shim the serving plane itself executes through and
-    /// the contract gates verify against.
-    ///
-    /// [`run_cheetah_streamed`]: StreamedExecution::run_cheetah_streamed
-    #[doc(hidden)]
+    /// answers. A layout of several input rounds is refused with
+    /// [`Error::KeyHolisticRounds`](cheetah_core::Error::KeyHolisticRounds)
+    /// for a query whose merge is not routing-agnostic
+    /// ([`DbQuery::merge_routing_agnostic`]): HAVING and JOIN need every
+    /// row of a key inside one executor run.
     fn run_cheetah_streamed_resident(
         &self,
         q: &DbQuery,
@@ -150,11 +100,12 @@ pub trait StreamedExecution {
 }
 
 /// A fully-routed streamed input layout: which rows of which round land
-/// on which shard, plus the spec-derived knobs the run needs
-/// (batch size, channel depth, ingest model, plan provenance).
+/// on which shard, plus the knobs the run needs (batch size, channel
+/// depth, ingest model, plan provenance, an optional faulty channel).
 ///
-/// Produced by [`StreamedExecution::plan_stream`]; consumed (repeatedly)
-/// by [`StreamedExecution::run_cheetah_streamed_resident`].
+/// Produced by [`route_once`](crate::route_once) (one round) or
+/// [`StreamLayout::from_units`]; consumed, repeatedly, by
+/// [`StreamedExecution::run_cheetah_streamed_resident`].
 #[derive(Clone)]
 pub struct StreamLayout {
     /// `units[round][shard]` — the left-stream slice that shard prunes
@@ -165,8 +116,6 @@ pub struct StreamLayout {
     right_units: Option<Vec<Arc<Table>>>,
     /// Rows routed per shard (authoritative, includes empty units).
     dispatched: Vec<u64>,
-    shards: usize,
-    rounds: usize,
     batch_size: usize,
     channel_depth: usize,
     fault: Option<FaultSpec>,
@@ -178,12 +127,12 @@ pub struct StreamLayout {
 impl StreamLayout {
     /// Shard count of the layout.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.dispatched.len()
     }
 
     /// Input rounds the dispatcher will walk.
     pub fn rounds(&self) -> usize {
-        self.rounds
+        self.units.len()
     }
 
     /// Rows routed to each shard.
@@ -191,23 +140,24 @@ impl StreamLayout {
         &self.dispatched
     }
 
-    /// Assemble a resident layout from already-routed slices, skipping
-    /// key derivation and sharder fitting entirely. This is the serving
-    /// plane's entry point: a session that has presplit a table once
-    /// (and cached the `Arc` slices) can wrap the same slices as a
-    /// one-round-per-`units`-entry streamed layout and run
-    /// [`run_cheetah_streamed_resident`] against it — the pooled path
-    /// and the streamed path then share one routing pass.
+    /// Assemble a resident layout from already-routed slices, one entry
+    /// of `units` per input round. [`route_once`](crate::route_once)
+    /// wraps its slices this way as one round, so the pooled and the
+    /// streamed executor share one routing pass; a caller that cuts the
+    /// input into several row windows (one [`route_range`] call per
+    /// window) gets a multi-round layout, which only routing-agnostic
+    /// queries may run.
     ///
     /// `units[round][shard]` must be rectangular and non-empty: every
-    /// round slices the input across the same shard set. `batch` of
-    /// `None` asks the ingest model for its suggested batch size, as
-    /// [`plan_stream`] does; `channel_depth` of `None` likewise derives
-    /// the in-flight frame budget from the model's link rates
+    /// round slices the input across the same shard set. The right
+    /// stream of a binary query rides round 0. `batch` of `None` asks
+    /// the ingest model for its suggested batch size
+    /// ([`suggested_batch`](MasterIngestModel::suggested_batch));
+    /// `channel_depth` of `None` likewise derives the in-flight frame
+    /// budget from the model's link rates
     /// ([`suggested_depth`](MasterIngestModel::suggested_depth)).
     ///
-    /// [`run_cheetah_streamed_resident`]: StreamedExecution::run_cheetah_streamed_resident
-    /// [`plan_stream`]: StreamedExecution::plan_stream
+    /// [`route_range`]: cheetah_db::route_range
     pub fn from_units(
         units: Vec<Vec<Arc<Table>>>,
         right_units: Option<Vec<Arc<Table>>>,
@@ -223,12 +173,11 @@ impl StreamLayout {
         );
         let shards = units[0].len();
         assert!(
-            units.iter().all(|round| round.len() == shards),
-            "every round must slice the input across the same shard set"
+            units.iter().chain(&right_units).all(|round| round.len() == shards),
+            "every round, and the right stream, must slice across the same shard set"
         );
-        let rounds = units.len();
         let mut dispatched = vec![0u64; shards];
-        for round in &units {
+        for round in units.iter().chain(&right_units) {
             for (shard, t) in round.iter().enumerate() {
                 dispatched[shard] += t.rows() as u64;
             }
@@ -241,8 +190,6 @@ impl StreamLayout {
             units,
             right_units,
             dispatched,
-            shards,
-            rounds,
             batch_size,
             channel_depth,
             fault: None,
@@ -250,6 +197,48 @@ impl StreamLayout {
             decision,
             plan,
         }
+    }
+
+    /// The same layout with its worker→master frames crossing a seeded
+    /// lossy channel: the §7.2 go-back-N/ACK machinery then runs for
+    /// real on every execution of the layout.
+    pub fn with_fault(mut self, fault: FaultSpec) -> StreamLayout {
+        self.fault = Some(fault);
+        self
+    }
+}
+
+/// The streamed executor's faulty-channel mode: every survivor frame a
+/// worker emits crosses a seeded lossy link (drops, single-octet
+/// corruption, duplication), and the worker runs the §7.2 go-back-N
+/// window over per-frame master ACKs, so the run only completes once
+/// every frame has actually been merged. Attach it to a resident layout
+/// with [`StreamLayout::with_fault`](crate::StreamLayout::with_fault).
+#[derive(Debug, Clone)]
+pub struct FaultSpec {
+    /// Fault probabilities applied to each frame transmission.
+    pub profile: FaultProfile,
+    /// Seed of the per-shard fault streams (shard id is mixed in), so a
+    /// lossy run is reproducible frame for frame.
+    pub seed: u64,
+    /// Go-back-N window in frames; `None` uses the resolved channel
+    /// depth (the NIC-paced in-flight budget).
+    pub window: Option<u64>,
+    /// Retransmission timeout: how long a worker waits on an ACK before
+    /// resending its unacked window.
+    pub rto: Duration,
+}
+
+impl FaultSpec {
+    /// A lossy channel with the given profile and seed, window derived
+    /// from the channel depth and a CI-friendly 2 ms RTO.
+    pub fn new(profile: FaultProfile, seed: u64) -> Self {
+        Self { profile, seed, window: None, rto: Duration::from_millis(2) }
+    }
+
+    /// The smoltcp-style harsh profile (15% drop + 15% corrupt).
+    pub fn harsh(seed: u64) -> Self {
+        Self::new(FaultProfile::harsh(), seed)
     }
 }
 
@@ -276,12 +265,6 @@ struct WorkerReport {
     retransmits: u64,
 }
 
-/// What the router hands back.
-struct RouterReport {
-    dispatched: Vec<u64>,
-    events: Vec<ReplanEvent>,
-}
-
 /// The live channels of a spawned worker plane: one unit stream per
 /// shard in, survivor frames and end-of-stream reports out. Under a
 /// faulty channel the master also holds one unbounded ACK sender per
@@ -301,12 +284,12 @@ struct WorkerPlane {
 fn spawn_worker_plane(
     cluster: &Cluster,
     q: &DbQuery,
-    shards: usize,
-    batch_size: usize,
-    channel_depth: usize,
-    fault: Option<&FaultSpec>,
+    layout: &StreamLayout,
     epoch: Instant,
 ) -> WorkerPlane {
+    let (shards, batch_size, channel_depth) =
+        (layout.shards(), layout.batch_size, layout.channel_depth);
+    let fault = layout.fault.as_ref();
     let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(channel_depth.max(1) * shards);
     let (report_tx, report_rx) = mpsc::channel::<(usize, cheetah_core::Result<WorkerReport>)>();
     let mut unit_txs = Vec::with_capacity(shards);
@@ -491,10 +474,9 @@ fn stream_lossy(
 /// ends).
 fn drain_merge_plane(
     q: &DbQuery,
+    layout: &StreamLayout,
     epoch: Instant,
     plane: WorkerPlane,
-    router: RouterReport,
-    ctx: AssembleCtx,
 ) -> cheetah_core::Result<StreamedRun> {
     let WorkerPlane { unit_txs, batch_rx, report_rx, ack_txs } = plane;
     debug_assert!(unit_txs.is_empty(), "dispatch must close the unit streams");
@@ -502,7 +484,7 @@ fn drain_merge_plane(
     // The merge plane runs on the submitting thread, so the session's
     // entered `execute` span (if any) is directly visible here.
     let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
-    let shards = ctx.shards;
+    let shards = layout.shards();
     let faulty = !ack_txs.is_empty();
     let mut state = MergeState::new(q);
     let mut merge_events: Vec<(f64, f64)> = Vec::new();
@@ -563,219 +545,23 @@ fn drain_merge_plane(
     }
     drop(merge_span);
 
-    let fold =
-        Fold { output, reports, router, merge_events, finish_seconds, batches, batch_wire_bytes };
-    Ok(assemble(fold, ctx))
+    let fold = Fold { output, reports, merge_events, finish_seconds, batches, batch_wire_bytes };
+    Ok(assemble(fold, layout))
 }
 
 impl StreamedExecution for Cluster {
-    fn run_cheetah_streamed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> cheetah_core::Result<StreamedRun> {
-        let epoch = Instant::now();
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-
-        let (sharder0, ingest, plan, decision) = match &spec.layout {
-            ShardLayout::Fixed(s) => (
-                fixed_sharder(s, seed, &key_slices),
-                s.ingest,
-                None,
-                PlanDecision::Fixed(s.partitioner),
-            ),
-            ShardLayout::Planned(p) => {
-                let plan = p.plan_from_keys(&key_slices, seed);
-                let decision = PlanDecision::Planned(plan.report.partitioner);
-                (plan.sharder.clone(), p.cfg.ingest, Some(plan), decision)
-            }
-        };
-        let shards = sharder0.shards();
-        // Clamp to what one frame can carry — a user-pinned batch above
-        // the 16-bit item count would otherwise panic the framing.
-        let batch_size =
-            spec.batch.unwrap_or_else(|| ingest.suggested_batch(shards)).clamp(1, MAX_BATCH_ITEMS);
-        // Input rounds only where the merge tolerates rows moving between
-        // executor runs; HAVING/JOIN take their whole shard slice at once.
-        let rounds = if q.merge_routing_agnostic() { spec.rounds.max(1) } else { 1 };
-        let channel_depth =
-            spec.channel_depth.map_or_else(|| ingest.suggested_depth(shards), |d| d.max(1));
-
-        let mut plane = spawn_worker_plane(
-            self,
-            q,
-            shards,
-            batch_size,
-            channel_depth,
-            spec.fault.as_ref(),
-            epoch,
-        );
-
-        // Router, inline on the calling thread: rounds, dispatch,
-        // supervised re-fits. Unit channels are unbounded, so routing
-        // never blocks behind a busy worker — by the time the merge
-        // plane below starts draining, every unit is already dispatched
-        // and the re-plan decisions are identical to the concurrent
-        // router's (they read only the dispatch counters).
-        let router = {
-            let mut sharder = sharder0.clone();
-            let right_keys = right_keys.as_deref();
-            let mut supervisor =
-                RuntimeSupervisor::new(spec.imbalance_factor, spec.supervisor_sample, seed);
-            let mut dispatched = vec![0u64; shards];
-            let total = left.rows();
-            for round in 0..rounds {
-                let lo = round * total / rounds;
-                let hi = (round + 1) * total / rounds;
-                let left_slices = route_range(left, &left_keys, &sharder, lo, hi);
-                // The right stream of a binary query rides the single
-                // round, co-partitioned by the same sharder.
-                let right_slices: Option<Vec<Arc<Table>>> = (round == 0)
-                    .then(|| {
-                        right.map(|r| {
-                            route_range(
-                                r,
-                                right_keys.expect("keys computed"),
-                                &sharder,
-                                0,
-                                r.rows(),
-                            )
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect()
-                        })
-                    })
-                    .flatten();
-                for (shard, l) in left_slices.into_iter().enumerate() {
-                    let r = right_slices.as_ref().map(|v| Arc::clone(&v[shard]));
-                    let unit_rows = l.rows() + r.as_ref().map_or(0, |t| t.rows());
-                    dispatched[shard] += unit_rows as u64;
-                    if unit_rows == 0 {
-                        continue;
-                    }
-                    plane.unit_txs[shard].send(WorkUnit { left: Arc::new(l), right: r }).ok();
-                }
-                if spec.replan && round + 1 < rounds {
-                    if let Some(refit) =
-                        supervisor.consider(round, &dispatched, &left_keys[hi..], &sharder)
-                    {
-                        sharder = refit;
-                    }
-                }
-            }
-            RouterReport { dispatched, events: supervisor.into_events() }
-        };
-        plane.unit_txs.clear();
-
-        drain_merge_plane(
-            q,
-            epoch,
-            plane,
-            router,
-            AssembleCtx { ingest, plan, decision, shards, batch_size, rounds },
-        )
-    }
-
-    fn plan_stream(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> StreamLayout {
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let (sharder, ingest, plan, decision) = match &spec.layout {
-            ShardLayout::Fixed(s) => (
-                fixed_sharder(s, seed, &key_slices),
-                s.ingest,
-                None,
-                PlanDecision::Fixed(s.partitioner),
-            ),
-            ShardLayout::Planned(p) => {
-                let plan = p.plan_from_keys(&key_slices, seed);
-                let decision = PlanDecision::Planned(plan.report.partitioner);
-                (plan.sharder.clone(), p.cfg.ingest, Some(plan), decision)
-            }
-        };
-        let shards = sharder.shards();
-        let batch_size =
-            spec.batch.unwrap_or_else(|| ingest.suggested_batch(shards)).clamp(1, MAX_BATCH_ITEMS);
-        let rounds = if q.merge_routing_agnostic() { spec.rounds.max(1) } else { 1 };
-        let total = left.rows();
-        let mut dispatched = vec![0u64; shards];
-        let mut units = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            let lo = round * total / rounds;
-            let hi = (round + 1) * total / rounds;
-            let slices: Vec<Arc<Table>> =
-                route_range(left, &left_keys, &sharder, lo, hi).into_iter().map(Arc::new).collect();
-            for (shard, t) in slices.iter().enumerate() {
-                dispatched[shard] += t.rows() as u64;
-            }
-            units.push(slices);
-        }
-        let right_units: Option<Vec<Arc<Table>>> = right.map(|r| {
-            let slices: Vec<Arc<Table>> = route_range(
-                r,
-                right_keys.as_deref().expect("keys computed"),
-                &sharder,
-                0,
-                r.rows(),
-            )
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-            for (shard, t) in slices.iter().enumerate() {
-                dispatched[shard] += t.rows() as u64;
-            }
-            slices
-        });
-        StreamLayout {
-            units,
-            right_units,
-            dispatched,
-            shards,
-            rounds,
-            batch_size,
-            channel_depth: spec
-                .channel_depth
-                .map_or_else(|| ingest.suggested_depth(shards), |d| d.max(1)),
-            fault: spec.fault.clone(),
-            ingest,
-            decision,
-            plan,
-        }
-    }
-
     fn run_cheetah_streamed_resident(
         &self,
         q: &DbQuery,
         layout: &StreamLayout,
     ) -> cheetah_core::Result<StreamedRun> {
+        if layout.rounds() > 1 && !q.merge_routing_agnostic() {
+            return Err(cheetah_core::Error::KeyHolisticRounds { rounds: layout.rounds() });
+        }
         let epoch = Instant::now();
-        let shards = layout.shards;
-        let mut plane = spawn_worker_plane(
-            self,
-            q,
-            shards,
-            layout.batch_size,
-            layout.channel_depth,
-            layout.fault.as_ref(),
-            epoch,
-        );
+        let mut plane = spawn_worker_plane(self, q, layout, epoch);
         // Dispatch is `Arc` clones of resident slices — no routing, no
-        // row movement, no supervisor (a resident layout is fixed by
-        // construction, so there is nothing to re-fit mid-run).
+        // row movement.
         for (round, slices) in layout.units.iter().enumerate() {
             for (shard, l) in slices.iter().enumerate() {
                 let r = (round == 0)
@@ -788,49 +574,24 @@ impl StreamedExecution for Cluster {
             }
         }
         plane.unit_txs.clear();
-        let router = RouterReport { dispatched: layout.dispatched.clone(), events: Vec::new() };
-        drain_merge_plane(
-            q,
-            epoch,
-            plane,
-            router,
-            AssembleCtx {
-                ingest: layout.ingest,
-                plan: layout.plan.clone(),
-                decision: layout.decision,
-                shards,
-                batch_size: layout.batch_size,
-                rounds: layout.rounds,
-            },
-        )
+        drain_merge_plane(q, layout, epoch, plane)
     }
 }
 
-/// Everything the scope produced, before accounting.
+/// Everything the merge plane produced, before accounting.
 struct Fold {
     output: QueryOutput,
     reports: Vec<WorkerReport>,
-    router: RouterReport,
     merge_events: Vec<(f64, f64)>,
     finish_seconds: f64,
     batches: u64,
     batch_wire_bytes: u64,
 }
 
-struct AssembleCtx {
-    ingest: MasterIngestModel,
-    plan: Option<ShardPlan>,
-    decision: PlanDecision,
-    shards: usize,
-    batch_size: usize,
-    rounds: usize,
-}
-
 /// Turn the raw fold into the run's accounting: the overlap is the merge
 /// work that happened before the slowest worker went idle.
-fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
-    let Fold { output, reports, router, merge_events, finish_seconds, batches, batch_wire_bytes } =
-        fold;
+fn assemble(fold: Fold, layout: &StreamLayout) -> StreamedRun {
+    let Fold { output, reports, merge_events, finish_seconds, batches, batch_wire_bytes } = fold;
     let last_worker = reports.iter().map(|r| r.finished_at).fold(0.0, f64::max);
     let ingest_seconds: f64 = merge_events.iter().map(|(_, d)| d).sum();
     let overlap_seconds: f64 = merge_events
@@ -840,9 +601,9 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
     let merge_seconds = ingest_seconds + finish_seconds;
 
     let mut per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
-    for (s, rows) in router.dispatched.iter().enumerate() {
+    for (s, rows) in layout.dispatched.iter().enumerate() {
         // Rows routed to a shard whose every unit was empty never reach a
-        // worker; the router's count is authoritative.
+        // worker; the layout's count is authoritative.
         per_shard[s].rows = *rows;
     }
     let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
@@ -852,7 +613,6 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
         acc
     });
     let entries_per_shard: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
-    let replans = router.events.iter().filter(|e| e.adopted).count() as u32;
 
     let breakdown = ExecBreakdown {
         // Workers run concurrently; the slowest shard bounds the phase.
@@ -865,11 +625,10 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
         master_wire_bytes: per_shard.iter().map(|s| s.master_wire_bytes).sum(),
         entries_to_master: entries_per_shard.iter().sum(),
         passes: reports.iter().map(|r| r.passes).max().unwrap_or(1),
-        shards: ctx.shards as u32,
-        master_ingest_seconds: ctx.ingest.blocking_latency_sharded(&entries_per_shard),
-        plan: Some(ctx.decision),
+        shards: layout.shards() as u32,
+        master_ingest_seconds: layout.ingest.blocking_latency_sharded(&entries_per_shard),
+        plan: Some(layout.decision),
         overlap_seconds,
-        replans,
         // All workers clone one cluster; any report speaks for the run.
         backend: reports.first().map(|r| r.backend).unwrap_or_default(),
         retransmits: reports.iter().map(|r| r.retransmits).sum(),
@@ -882,12 +641,11 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
         switch_stats,
         per_shard,
         merge_seconds,
-        batch_size: ctx.batch_size,
+        batch_size: layout.batch_size,
         batches,
         batch_wire_bytes,
-        rounds: ctx.rounds,
-        replan_events: router.events,
-        plan: ctx.plan,
+        rounds: layout.rounds(),
+        plan: layout.plan.clone(),
         rules,
     }
 }
@@ -895,8 +653,9 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::{ShardPartitioner, Sharder};
-    use cheetah_db::{DataType, DbPredicate, IntCmp, ShardSpec, TableBuilder, Value};
+    use crate::route::{route_once, RoutedLayout, Sharding};
+    use cheetah_core::ShardPartitioner;
+    use cheetah_db::{DataType, ShardSpec, TableBuilder, Value};
 
     fn table(rows: usize, parts: usize) -> Table {
         let mut b = TableBuilder::new(
@@ -920,111 +679,34 @@ mod tests {
         b.build()
     }
 
-    #[test]
-    fn route_range_partitions_exactly_the_requested_rows() {
-        let t = table(1_000, 4);
-        let keys: Vec<u64> = (0..1_000u64).collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 3, 9);
-        let mid = route_range(&t, &keys, &sharder, 250, 750);
-        assert_eq!(mid.iter().map(Table::rows).sum::<usize>(), 500);
-        let all = route_range(&t, &keys, &sharder, 0, 1_000);
-        assert_eq!(all.iter().map(Table::rows).sum::<usize>(), 1_000);
-        let none = route_range(&t, &keys, &sharder, 400, 400);
-        assert_eq!(none.iter().map(Table::rows).sum::<usize>(), 0);
-        assert_eq!(none.len(), 3, "every shard gets a (possibly empty) table");
+    fn hash_layout(q: &DbQuery, t: &Table, shards: usize) -> RoutedLayout {
+        let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
+        route_once(q, t, None, Cluster::default().tuning.seed, Sharding::Fixed(spec), None)
     }
 
-    #[test]
-    fn round_slices_cover_the_input_exactly_once() {
-        let t = table(997, 3);
-        let keys: Vec<u64> = (0..997u64).rev().collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 1);
-        let rounds = 4;
-        let mut covered = 0usize;
-        for round in 0..rounds {
-            let lo = round * t.rows() / rounds;
-            let hi = (round + 1) * t.rows() / rounds;
-            covered +=
-                route_range(&t, &keys, &sharder, lo, hi).iter().map(Table::rows).sum::<usize>();
-        }
-        assert_eq!(covered, 997);
-    }
-
-    #[test]
-    fn streamed_matches_baseline_on_a_simple_grid() {
-        // The full 7×4×{1,2,7} grid lives in the runtime_contract gate;
-        // this is the crate-local smoke version.
-        let cluster = Cluster::default();
-        let t = table(2_000, 4);
-        let queries = [
-            DbQuery::FilterCount {
-                pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 5_000 },
-            },
-            DbQuery::Distinct { col: 0 },
-            DbQuery::TopN { order_col: 1, n: 10 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 4_000 },
-        ];
-        for q in queries {
-            let base = cluster.run_baseline(&q, &t, None);
-            for shards in [1usize, 4] {
-                let spec = StreamSpec::fixed(ShardSpec::new(shards, ShardPartitioner::Hash));
-                let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-                assert_eq!(base.output, run.output, "{} @ {shards}", q.kind());
-                assert_eq!(run.breakdown.shards as usize, shards);
-                assert_eq!(
-                    run.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                    2_000,
-                    "{}: routed rows lost",
-                    q.kind()
-                );
-                assert!(run.batches > 0, "{}: survivors must arrive in batches", q.kind());
-                assert!(run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn key_holistic_queries_run_one_round_and_never_replan() {
-        let cluster = Cluster::default();
-        let l = table(1_200, 3);
-        let r = table(600, 2);
-        let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let mut spec = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
-        spec.imbalance_factor = 0.0; // trigger at any imbalance — must still not fire
-        let run = cluster.run_cheetah_streamed(&q, &l, Some(&r), &spec).unwrap();
-        assert_eq!(run.rounds, 1);
-        assert_eq!(run.breakdown.replans, 0);
-        assert!(run.replan_events.is_empty());
-        assert_eq!(run.output, cluster.run_baseline(&q, &l, Some(&r)).output);
-        let q = DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 };
-        let run = cluster.run_cheetah_streamed(&q, &l, None, &spec).unwrap();
-        assert_eq!(run.rounds, 1);
-        assert_eq!(run.breakdown.replans, 0);
-    }
-
-    #[test]
-    fn planned_layout_records_its_plan() {
-        let cluster = Cluster::default();
-        let t = table(1_500, 3);
-        let q = DbQuery::Distinct { col: 0 };
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &StreamSpec::default()).unwrap();
-        let plan = run.plan.as_ref().expect("planned layout records its plan");
-        assert_eq!(run.breakdown.shards as usize, plan.shards());
-        assert!(run.breakdown.plan.expect("decision").is_planned());
-        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
+    /// `routed`'s slices as a one-round layout with a pinned batch size.
+    fn rebatched(routed: &RoutedLayout, batch: usize) -> StreamLayout {
+        let (ingest, decision) = (routed.ingest, routed.decision);
+        StreamLayout::from_units(
+            vec![routed.left.clone()],
+            None,
+            ingest,
+            decision,
+            None,
+            Some(batch),
+            None,
+        )
     }
 
     #[test]
     fn from_units_rebuilds_a_layout_that_runs_identically() {
-        // The serving plane assembles layouts from cached presplit
-        // slices instead of re-deriving keys; a rebuilt layout must be
-        // indistinguishable from the planned one at run time.
+        // A layout rebuilt from the same slices must be indistinguishable
+        // from the routed one at run time.
         let cluster = Cluster::default();
         let t = table(1_800, 4);
         let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
-        let layout = cluster.plan_stream(&q, &t, None, &spec);
+        let routed = hash_layout(&q, &t, 4);
+        let layout = &routed.stream;
         let rebuilt = StreamLayout::from_units(
             layout.units.clone(),
             layout.right_units.clone(),
@@ -1037,15 +719,16 @@ mod tests {
         assert_eq!(rebuilt.shards(), layout.shards());
         assert_eq!(rebuilt.rounds(), layout.rounds());
         assert_eq!(rebuilt.dispatched(), layout.dispatched());
-        let planned = cluster.run_cheetah_streamed_resident(&q, &layout).unwrap();
-        let assembled = cluster.run_cheetah_streamed_resident(&q, &rebuilt).unwrap();
-        assert_eq!(planned.output, assembled.output);
-        assert_eq!(planned.output, cluster.run_baseline(&q, &t, None).output);
-        assert_eq!(planned.breakdown.entries_to_master, assembled.breakdown.entries_to_master);
+        let first = cluster.run_cheetah_streamed_resident(&routed.query, layout).unwrap();
+        let again = cluster.run_cheetah_streamed_resident(&routed.query, &rebuilt).unwrap();
+        assert_eq!(first.output, again.output);
+        assert_eq!(first.output, cluster.run_baseline(&q, &t, None).output);
+        assert_eq!(first.breakdown.entries_to_master, again.breakdown.entries_to_master);
         // Omitting the hints falls back to the ingest model: suggested
         // batch size, NIC-paced channel depth.
+        let units = || layout.units.clone();
         let suggested = StreamLayout::from_units(
-            layout.units.clone(),
+            units(),
             None,
             layout.ingest,
             layout.decision,
@@ -1057,7 +740,7 @@ mod tests {
         assert_eq!(suggested.channel_depth, layout.ingest.suggested_depth(4));
         // A pinned depth of zero still clamps to a workable channel.
         let clamped = StreamLayout::from_units(
-            layout.units.clone(),
+            units(),
             None,
             layout.ingest,
             layout.decision,
@@ -1069,114 +752,25 @@ mod tests {
     }
 
     #[test]
-    fn resident_layout_matches_the_routing_twin_and_reuses_cleanly() {
-        let cluster = Cluster::default();
-        let t = table(2_000, 4);
-        let r = table(900, 2);
-        let queries: Vec<(DbQuery, Option<&Table>)> = vec![
-            (DbQuery::Distinct { col: 0 }, None),
-            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, None),
-            (DbQuery::Join { left_key: 0, right_key: 0 }, Some(&r)),
-        ];
-        for (q, right) in queries {
-            for shards in [1usize, 4] {
-                let spec = StreamSpec::fixed(ShardSpec::new(shards, ShardPartitioner::Hash));
-                let layout = cluster.plan_stream(&q, &t, right, &spec);
-                assert_eq!(layout.shards(), shards);
-                assert_eq!(
-                    layout.dispatched().iter().sum::<u64>(),
-                    (t.rows() + right.map_or(0, |r| r.rows())) as u64,
-                    "{}: layout loses rows",
-                    q.kind()
-                );
-                let routed = cluster.run_cheetah_streamed(&q, &t, right, &spec).unwrap();
-                // Same layout, three back-to-back runs: the resident twin
-                // must reproduce the routing twin bit for bit every time.
-                for round in 0..3 {
-                    let resident = cluster.run_cheetah_streamed_resident(&q, &layout).unwrap();
-                    assert_eq!(routed.output, resident.output, "{} round {round}", q.kind());
-                    assert_eq!(resident.rounds, routed.rounds);
-                    assert_eq!(
-                        resident.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                        routed.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                    );
-                    assert!(resident.replan_events.is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn harsh_faulty_channel_still_answers_exactly() {
+    fn a_faulty_layout_answers_exactly_run_after_run() {
         // 15% drop + 15% corruption + duplication on every survivor
         // frame: the §7.2 machinery (go-back-N resends, switch
-        // sequencing, merge-plane dedup) must still deliver the
-        // baseline answer, and the resends must show up in the
-        // breakdown.
-        use crate::config::FaultSpec;
+        // sequencing, merge-plane dedup) must deliver the baseline
+        // answer on every run of the same layout, and the resends must
+        // show up in the breakdown.
         let cluster = Cluster::default();
         let t = table(1_500, 3);
-        let queries = [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            DbQuery::TopN { order_col: 1, n: 10 },
-        ];
-        for q in queries {
-            let base = cluster.run_baseline(&q, &t, None);
-            let mut spec = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
-            spec.batch = Some(4); // many small frames → many fault draws
-            spec.fault = Some(FaultSpec::harsh(0xC0FFEE));
-            let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-            assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
-            assert!(
-                run.breakdown.retransmits > 0,
-                "{}: a harsh channel must force resends",
-                q.kind()
-            );
-        }
-        // The lossless path keeps its zero.
-        let spec = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
-        let q = DbQuery::Distinct { col: 0 };
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-        assert_eq!(run.breakdown.retransmits, 0);
-    }
-
-    #[test]
-    fn faulty_resident_layout_reuses_cleanly() {
-        // plan_stream carries the spec's fault lane into the layout, so
-        // the resident twin replays the same lossy flow per run.
-        use crate::config::FaultSpec;
-        let cluster = Cluster::default();
-        let t = table(1_200, 3);
         let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let mut spec = StreamSpec::fixed(ShardSpec::new(2, ShardPartitioner::Hash));
-        spec.batch = Some(4);
-        spec.fault = Some(FaultSpec::harsh(17));
-        let layout = cluster.plan_stream(&q, &t, None, &spec);
         let base = cluster.run_baseline(&q, &t, None);
+        let routed = hash_layout(&q, &t, 3);
+        // Many small frames → many fault draws.
+        let lossy = rebatched(&routed, 4).with_fault(FaultSpec::harsh(0xC0FFEE));
         for _ in 0..2 {
-            let run = cluster.run_cheetah_streamed_resident(&q, &layout).unwrap();
+            let run = cluster.run_cheetah_streamed_resident(&routed.query, &lossy).unwrap();
             assert_eq!(base.output, run.output);
-            assert!(run.breakdown.retransmits > 0);
+            assert!(run.breakdown.retransmits > 0, "a harsh channel forces resends");
         }
-    }
-
-    #[test]
-    fn empty_table_streams_cleanly() {
-        let cluster = Cluster::default();
-        let t = TableBuilder::new(
-            "empty",
-            vec![("key".into(), DataType::Str), ("a".into(), DataType::Int)],
-            4,
-        )
-        .build();
-        let spec = StreamSpec::fixed(ShardSpec::new(5, ShardPartitioner::Range));
-        let run =
-            cluster.run_cheetah_streamed(&DbQuery::Distinct { col: 0 }, &t, None, &spec).unwrap();
-        assert_eq!(run.output, QueryOutput::Values(vec![]));
-        assert_eq!(run.batches, 0);
-        assert_eq!(run.breakdown.entries_to_master, 0);
-        assert_eq!(run.breakdown.overlap_seconds, 0.0);
+        assert_eq!(routed.run_streamed(&cluster).unwrap().breakdown.retransmits, 0);
     }
 
     #[test]
@@ -1184,15 +778,25 @@ mod tests {
         let cluster = Cluster::default();
         let t = table(800, 2);
         let q = DbQuery::Distinct { col: 0 };
-        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-        assert_eq!(run.batch_size, spec.ingest().suggested_batch(4));
-        let mut pinned = spec.clone();
-        pinned.batch = Some(7);
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &pinned).unwrap();
+        let routed = hash_layout(&q, &t, 4);
+        let run = routed.run_streamed(&cluster).unwrap();
+        assert_eq!(run.batch_size, routed.ingest.suggested_batch(4));
+        let pinned = rebatched(&routed, 7);
+        let run = cluster.run_cheetah_streamed_resident(&routed.query, &pinned).unwrap();
         assert_eq!(run.batch_size, 7);
         // 37 distinct survivors at batch 7 → ceil division worth of frames
         // per emitting shard; at least more frames than the unpinned run.
         assert!(run.batches >= 4, "tiny batches must yield multiple frames: {}", run.batches);
+    }
+
+    #[test]
+    fn fault_spec_constructors_pick_sane_knobs() {
+        let harsh = FaultSpec::harsh(7);
+        assert_eq!(harsh.seed, 7);
+        assert!(harsh.profile.drop_prob > 0.0 && harsh.profile.corrupt_prob > 0.0);
+        assert!(harsh.window.is_none(), "window follows the resolved channel depth");
+        assert!(harsh.rto > Duration::ZERO);
+        let mild = FaultSpec::new(FaultProfile { drop_prob: 0.01, ..FaultProfile::lossless() }, 3);
+        assert_eq!(mild.profile.corrupt_prob, 0.0);
     }
 }

@@ -3,7 +3,9 @@
 //! The session's contract is *rejection over collapse*: a request the
 //! plane cannot take on right now comes back immediately as a typed
 //! [`Error::Overloaded`] — never an unbounded queue, never a panic —
-//! so callers can shed load, retry with backoff, or route elsewhere.
+//! so callers can shed load, retry with backoff, or route elsewhere. A
+//! request its tables cannot answer comes back as
+//! [`Error::InvalidRequest`] before any work.
 
 use std::fmt;
 
@@ -23,6 +25,15 @@ pub enum Error {
         /// The session's configured in-flight bound.
         capacity: usize,
     },
+    /// The request does not fit its tables: a column index past a
+    /// table's width, a column of the wrong type for the query family, a
+    /// right table on a unary query (or none on a JOIN), or a query that
+    /// reads no column. Checked at admission, so the request was never
+    /// enqueued and no thread ran it.
+    InvalidRequest {
+        /// What is wrong, in one line.
+        reason: String,
+    },
     /// The session is shutting down (or its driver dropped the request
     /// mid-shutdown); no result will ever arrive for this submission.
     SessionClosed,
@@ -38,6 +49,7 @@ impl fmt::Display for Error {
                 f,
                 "session overloaded: {in_flight} requests in flight at capacity {capacity}"
             ),
+            Error::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
             Error::SessionClosed => write!(f, "session closed before the request completed"),
             Error::Exec(e) => write!(f, "execution failed: {e}"),
         }
@@ -76,6 +88,12 @@ mod tests {
         let e = Error::from(cheetah_core::Error::MissingStream { stream: 1 });
         assert!(e.source().is_some());
         assert_eq!(e, Error::Exec(cheetah_core::Error::MissingStream { stream: 1 }));
+    }
+
+    #[test]
+    fn invalid_request_displays_its_reason() {
+        let e = Error::InvalidRequest { reason: "distinct reads column 9".into() };
+        assert!(e.to_string().contains("column 9"), "{e}");
     }
 
     #[test]

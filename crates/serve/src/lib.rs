@@ -1,17 +1,19 @@
 //! # cheetah-serve — the multi-tenant serving plane
 //!
-//! Everything below this crate executes *one query at a time*: the db
-//! crate's barrier twins, the runtime's streamed twin, the compiled
-//! kernels. This crate is the front door the paper's deployment story
-//! implies — a switch-accelerated database serves *many tenants at
-//! once* — and it is the **one** public way in: callers build a
-//! [`QueryRequest`] and hand it to a [`Session`]; which twin runs, on
-//! which backend, over which shard layout, is the session's business.
+//! Everything below this crate executes *one query at a time*: the
+//! runtime's route-once step and its pooled barrier and streamed
+//! executors, the compiled kernels. This crate is the front door the
+//! paper's deployment story implies — a switch-accelerated database
+//! serves *many tenants at once* — and it is the **one** public way in:
+//! callers build a [`QueryRequest`] and hand it to a [`Session`]; which
+//! executor runs, on which backend, over which shard layout, is the
+//! session's business.
 //!
 //! The pipeline behind [`Session::submit`]:
 //!
-//! 1. **Admission** — a bounded in-flight gate; past capacity the
-//!    request is refused *immediately* with [`Error::Overloaded`]
+//! 1. **Admission** — a request its tables cannot answer is refused
+//!    with [`Error::InvalidRequest`]; past the bounded in-flight gate
+//!    the request is refused *immediately* with [`Error::Overloaded`]
 //!    (shed load, don't buffer it into memory growth).
 //! 2. **Fair scheduling** — deficit round-robin over per-tenant
 //!    queues, costed in input rows, so a flooding tenant cannot starve
@@ -23,6 +25,10 @@
 //!    ([`PathChooser`](cheetah_db::PathChooser)) routes the request to
 //!    {barrier-pooled, streamed-resident} × {interpreted, compiled},
 //!    unless the request pinned a choice.
+//!
+//! 5. **Layout cache** — a table is routed once per (shape, tables,
+//!    plan) with `cheetah_runtime::route_once`, and repeats run the
+//!    resident slices.
 //!
 //! Every path produces bit-identical output — the serving plane
 //! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so admission

@@ -25,20 +25,24 @@
 //!        │  layout cache    │
 //!        └────────┬────────┘
 //!                 ▼
-//!          execution twins ──▶ QueryResponse (+ queue/tenant breakdown)
+//!    pooled or streamed executor ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
+//!
+//! A request is checked against its tables' schemas before admission
+//! ([`DbQuery::check_inputs`](cheetah_db::DbQuery::check_inputs)); a
+//! malformed one comes back as [`Error::InvalidRequest`] and never
+//! reaches a driver.
 //!
 //! A table the session has not seen costs one pass over the columns its
 //! query reads. A plan miss derives the routing keys once, a column at a
 //! time, and both the planner's sample and the router use those keys.
-//! The router copies only the columns the query reads
-//! ([`DbQuery::columns_read`]) into the shard slices, and both twins run
-//! the query renumbered for them ([`DbQuery::projected`]). The layout
-//! cache holds these projected slices. It is keyed by table identity: an
-//! entry holds a [`Weak`] to each input table, so the table's address
-//! cannot be reused while the entry lives. An entry whose table was
-//! dropped is swept out on the next insert. The cache exports
-//! `serve.layout_cache.entries` and `serve.layout_cache.evictions`.
+//! Routing is [`route_once`]: it copies only the columns the query reads
+//! into the shard slices, and both executors run the query renumbered
+//! for them. The layout cache holds these projected slices. It is keyed
+//! by table identity: an entry holds a [`Weak`] to each input table, so
+//! the table's address cannot be reused while the entry lives. An entry
+//! whose table was dropped is swept out on the next insert. The cache
+//! exports `serve.layout_cache.entries` and `serve.layout_cache.evictions`.
 //!
 //! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
 //! deadlock rule says anything a job blocks on must be drained by its
@@ -49,14 +53,12 @@
 use crate::error::{Error, Result};
 use crate::plan_cache::{CachedPlan, PlanCache, StatsFingerprint};
 use crate::request::QueryRequest;
-use cheetah_core::plan::{PlanDecision, ShardPlan};
 use cheetah_db::{
-    fixed_sharder, route_range_projected, routing_keys, ChooserArm, Cluster, DbQuery, ExecBackend,
-    ExecBreakdown, ExecPath, PathChooser, PlannerConfig, QueryOutput, ShardPlanner, ShardSpec,
-    ShardStats, Sharder, Table,
+    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, PathChooser, PlannerConfig,
+    QueryOutput, ShardPlanner, ShardSpec, ShardStats, Table,
 };
 use cheetah_net::MasterIngestModel;
-use cheetah_runtime::{PooledExecution, StreamLayout, StreamedExecution};
+use cheetah_runtime::{route_once, RoutedLayout, RoutingKeys, Sharding};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::collections::{HashMap, VecDeque};
@@ -201,16 +203,8 @@ struct SchedState {
     shutdown: bool,
 }
 
-/// One routed input, reusable across requests: the pooled slices and
-/// the streamed layout wrap the *same* `Arc` slices, so the two twins
-/// share one routing pass.
-///
-/// The slices are *projected*: they carry only the columns the request's
-/// query reads ([`DbQuery::columns_read`]), and `query` is that query
-/// renumbered for them ([`DbQuery::projected`]). Both twins run `query`,
-/// so the answer, the pruning counters and the wire accounting equal a
-/// full-width run's while routing and residency pay for the read columns
-/// alone.
+/// One routed input, reusable across requests: the [`RoutedLayout`] both
+/// executors run, projected to the columns the request's query reads.
 ///
 /// The entry holds a [`Weak`] to each input table. The cache keys on the
 /// tables' addresses; while a `Weak` lives, its table's allocation
@@ -222,12 +216,7 @@ struct LayoutEntry {
     generation: u64,
     left: Weak<Table>,
     right: Option<Weak<Table>>,
-    query: DbQuery,
-    left_slices: Vec<Arc<Table>>,
-    right_slices: Option<Vec<Arc<Table>>>,
-    layout: StreamLayout,
-    decision: PlanDecision,
-    plan: Option<Arc<ShardPlan>>,
+    routed: RoutedLayout,
 }
 
 impl LayoutEntry {
@@ -380,11 +369,18 @@ impl Session {
 
     /// Admit a request, or refuse it right now.
     ///
-    /// Admission is the only place the session says no for load
-    /// reasons: past this gate the request *will* execute (or report a
-    /// typed execution error). The returned [`Ticket`] is redeemed with
-    /// [`Ticket::wait`].
+    /// Admission is the only place the session says no: a request that
+    /// does not fit its tables' schemas gets [`Error::InvalidRequest`],
+    /// and one past the in-flight bound gets [`Error::Overloaded`]. Past
+    /// this gate the request *will* execute (or report a typed execution
+    /// error). The returned [`Ticket`] is redeemed with [`Ticket::wait`].
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket> {
+        self.check(&req)?;
+        self.enqueue(req)
+    }
+
+    /// Queue a checked request, or refuse it for load.
+    fn enqueue(&self, req: QueryRequest) -> Result<Ticket> {
         let mut st = self.shared.sched.lock().expect("scheduler lock");
         if st.shutdown {
             return Err(Error::SessionClosed);
@@ -416,6 +412,7 @@ impl Session {
     /// no cross-thread handoff — so a single blocking client pays only
     /// a mutex and two cache lookups over the raw execution paths.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
+        self.check(&req)?;
         {
             let mut st = self.shared.sched.lock().expect("scheduler lock");
             if st.shutdown {
@@ -443,7 +440,13 @@ impl Session {
                 return result;
             }
         }
-        self.submit(req)?.wait()
+        self.enqueue(req)?.wait()
+    }
+
+    /// Refuse a request its tables cannot answer, before any work.
+    fn check(&self, req: &QueryRequest) -> Result<()> {
+        let checked = req.query.check_inputs(&req.left, req.right.as_deref());
+        checked.map_err(|reason| Error::InvalidRequest { reason })
     }
 
     /// Requests in flight right now (queued plus executing).
@@ -583,7 +586,7 @@ fn shape_key(req: &QueryRequest) -> String {
     format!("{:?}|{}|{}", req.query, req.left.name(), req.right.as_ref().map_or("-", |r| r.name()))
 }
 
-/// Resolve plan → arm → layout, run the chosen twin, stamp the serving
+/// Resolve plan → arm → layout, run the chosen executor, stamp the serving
 /// fields, and close out the request's trace. Runs on a driver thread
 /// (or the caller's, via the `run_blocking` fast path); never holds the
 /// scheduler lock.
@@ -608,10 +611,12 @@ fn execute(
     // the same vectors instead of deriving them again.
     let mut keys: Option<RoutingKeys> = None;
     let mut plan_span = root.child("plan");
-    let (decision, plan, generation, plan_cached) = match req.shards {
-        Some(_) => {
+    let ingest = shared.cfg.ingest;
+    let (sharding, generation, plan_cached) = match req.shards {
+        Some(shards) => {
             plan_span.attr("cache", "pinned");
-            (PlanDecision::Fixed(cheetah_core::ShardPartitioner::Hash), None, 0, false)
+            let partitioner = cheetah_core::ShardPartitioner::Hash;
+            (Sharding::Fixed(ShardSpec { shards, partitioner, ingest }), 0, false)
         }
         None => {
             let stats = StatsFingerprint::of(&req.left, req.right.as_deref());
@@ -619,26 +624,26 @@ fn execute(
             if let Some(CachedPlan { plan, generation }) = caches.plans.lookup(&shape, stats) {
                 plan_span.attr("cache", "hit");
                 shared.telemetry.plan_hits.inc();
-                (PlanDecision::Planned(plan.partitioner()), Some(plan), generation, true)
+                (Sharding::Plan { plan, ingest }, generation, true)
             } else {
                 plan_span.attr("cache", "miss");
                 shared.telemetry.plan_misses.inc();
                 // Fit a fresh plan; let the shape's bandit inform the
                 // survivor pricing if it has measured this shape before.
-                let cfg = PlannerConfig { ingest: shared.cfg.ingest, ..PlannerConfig::default() };
+                let cfg = PlannerConfig { ingest, ..PlannerConfig::default() };
                 let cfg = match caches.choosers.get(&shape) {
                     Some(chooser) => chooser.informed(cfg),
                     None => cfg,
                 };
                 drop(caches);
-                // Sample exactly the streams `ShardPlanner::plan` would.
-                let sampled = RoutingKeys::derive(req, req.right.is_some(), seed);
+                let sampled =
+                    RoutingKeys::derive(&req.query, &req.left, req.right.as_deref(), seed);
                 let fitted =
                     Arc::new(ShardPlanner::new(cfg).plan_from_keys(&sampled.slices(), seed));
                 keys = Some(sampled);
                 let mut caches = shared.caches.lock().expect("caches lock");
                 let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
-                (PlanDecision::Planned(fitted.partitioner()), Some(fitted), generation, false)
+                (Sharding::Plan { plan: fitted, ingest }, generation, false)
             }
         }
     };
@@ -663,7 +668,7 @@ fn execute(
     choose_span.finish();
 
     // 3. Execute: resolve the routed layout (cached after first sight),
-    // then run the chosen twin with the span entered so the worker
+    // then run the chosen executor with the span entered so the worker
     // pool's shard jobs and the merge plane trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", arm.path.label());
@@ -683,9 +688,15 @@ fn execute(
         Some(entry) => entry,
         None => {
             let mut route_span = exec_span.child("route");
-            let entry =
-                Arc::new(build_layout(shared, req, seed, &decision, plan, generation, keys));
-            route_span.attr("shards", entry.left_slices.len());
+            let routed =
+                route_once(&req.query, &req.left, req.right.as_deref(), seed, sharding, keys);
+            let entry = Arc::new(LayoutEntry {
+                generation,
+                left: Arc::downgrade(&req.left),
+                right: req.right.as_ref().map(Arc::downgrade),
+                routed,
+            });
+            route_span.attr("shards", entry.routed.shards());
             route_span.finish();
             let mut caches = shared.caches.lock().expect("caches lock");
             caches.insert_layout(layout_key, Arc::clone(&entry), &shared.telemetry);
@@ -696,7 +707,7 @@ fn execute(
     let cluster = shared.cluster.clone().with_backend(arm.backend);
     let run_result = {
         let _in_exec = exec_span.enter();
-        run_arm(&cluster, &shared.cfg.ingest, &entry, arm)
+        run_arm(&cluster, &entry.routed, arm)
     };
     let (output, per_shard, mut breakdown, switch_stats) = run_result?;
     let entries: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
@@ -737,114 +748,21 @@ fn execute(
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace })
 }
 
-/// One request's routing keys, derived at most once per request.
-struct RoutingKeys {
-    left: Vec<u64>,
-    right: Option<Vec<u64>>,
-}
-
-impl RoutingKeys {
-    /// The left stream's keys, plus the right table's when `with_right`.
-    fn derive(req: &QueryRequest, with_right: bool, seed: u64) -> RoutingKeys {
-        RoutingKeys {
-            left: routing_keys(&req.query, 0, &req.left, seed),
-            right: req
-                .right
-                .as_ref()
-                .filter(|_| with_right)
-                .map(|r| routing_keys(&req.query, 1, r, seed)),
-        }
-    }
-
-    fn slices(&self) -> Vec<&[u64]> {
-        std::iter::once(self.left.as_slice()).chain(self.right.as_deref()).collect()
-    }
-}
-
-/// Route the request's tables once, projected to the columns its query
-/// reads; both twins run off these slices. `keys` are the plan miss's
-/// routing keys, when this request derived them.
-fn build_layout(
-    shared: &Shared,
-    req: &QueryRequest,
-    seed: u64,
-    decision: &PlanDecision,
-    plan: Option<Arc<ShardPlan>>,
-    generation: u64,
-    keys: Option<RoutingKeys>,
-) -> LayoutEntry {
-    let binary = req.query.is_binary();
-    let keys = keys.unwrap_or_else(|| RoutingKeys::derive(req, binary, seed));
-    let right_keys = keys.right.as_deref().filter(|_| binary);
-    let sharder: Sharder = match &plan {
-        Some(p) => p.sharder.clone(),
-        None => {
-            let spec =
-                ShardSpec::new(req.shards.unwrap_or(1), cheetah_core::ShardPartitioner::Hash);
-            let key_slices: Vec<&[u64]> =
-                std::iter::once(keys.left.as_slice()).chain(right_keys).collect();
-            fixed_sharder(&spec, seed, &key_slices)
-        }
-    };
-    let split = |stream: usize, table: &Table, keys: &[u64]| -> Vec<Arc<Table>> {
-        let mut cols = req.query.columns_read(stream);
-        if cols.is_empty() {
-            // A query reading no column (an empty conjunction) still
-            // needs the row count, which columns carry.
-            cols = (0..table.fields().len()).collect();
-        }
-        route_range_projected(table, &cols, keys, &sharder, 0, table.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect()
-    };
-    let left_slices = split(0, &req.left, &keys.left);
-    let right_slices = req.right.as_deref().zip(right_keys).map(|(r, rk)| split(1, r, rk));
-    let layout = StreamLayout::from_units(
-        vec![left_slices.clone()],
-        right_slices.clone(),
-        shared.cfg.ingest,
-        *decision,
-        plan.as_deref().cloned(),
-        None,
-        None,
-    );
-    LayoutEntry {
-        generation,
-        left: Arc::downgrade(&req.left),
-        right: req.right.as_ref().map(Arc::downgrade),
-        query: req.query.projected(),
-        left_slices,
-        right_slices,
-        layout,
-        decision: *decision,
-        plan,
-    }
-}
-
-/// What one twin's run hands back to the session.
+/// What one executor's run hands back to the session.
 type ArmRun = (QueryOutput, Vec<ShardStats>, ExecBreakdown, ProgramStats);
 
-/// Run `entry`'s projected query through `arm`'s execution twin.
+/// Run the routed layout on `arm`'s executor.
 fn run_arm(
     cluster: &Cluster,
-    ingest: &MasterIngestModel,
-    entry: &LayoutEntry,
+    routed: &RoutedLayout,
     arm: ChooserArm,
 ) -> cheetah_core::Result<ArmRun> {
     match arm.path {
-        ExecPath::BarrierPooled => cluster
-            .run_cheetah_presplit(
-                &entry.query,
-                &entry.left_slices,
-                entry.right_slices.as_deref(),
-                ingest,
-                entry.decision,
-                entry.plan.as_deref().cloned(),
-            )
+        ExecPath::BarrierPooled => routed
+            .run_pooled(cluster)
             .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
-        ExecPath::StreamedResident => cluster
-            .run_cheetah_streamed_resident(&entry.query, &entry.layout)
+        ExecPath::StreamedResident => routed
+            .run_streamed(cluster)
             .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
     }
 }
@@ -886,9 +804,7 @@ fn pick_arm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_db::{
-        route_range, DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value,
-    };
+    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value};
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -912,143 +828,67 @@ mod tests {
         Arc::new(b.build())
     }
 
-    /// Five columns, two of them strings; `alias` shares `key`'s value
-    /// space so a join across the two columns matches.
-    fn wide_table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
-        let mut b = TableBuilder::new(
-            "wide",
-            vec![
-                ("key".into(), DataType::Str),
-                ("a".into(), DataType::Int),
-                ("alias".into(), DataType::Str),
-                ("b".into(), DataType::Int),
-                ("c".into(), DataType::Int),
-            ],
-            rows.div_ceil(parts).max(1),
-        );
-        let mut x = seed | 1;
-        for i in 0..rows {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            b.push_row(vec![
-                Value::Str(format!("key-{}", (x >> 20) % 41)),
-                Value::Int((x % 10_000) as i64),
-                Value::Str(format!("key-{}", (x >> 40) % 53)),
-                Value::Int((i % 700) as i64),
-                Value::Int(((x >> 8) % 900) as i64),
-            ]);
-        }
-        Arc::new(b.build())
-    }
-
     #[test]
-    fn projected_layouts_run_like_full_width_presplit() {
+    fn pinned_front_door_runs_the_routed_layout() {
+        // A pinned request runs exactly `route_once` plus the pinned
+        // executor: same answer, same pruning counters, same survivors.
         let cluster = Cluster::default();
-        let seed = cluster.tuning.seed;
-        let ingest = SessionConfig::default().ingest;
         let session = Session::new(cluster.clone(), SessionConfig::default());
-        let (left, right) = (wide_table(3_000, 3, 1), wide_table(700, 2, 2));
-        let queries = [
+        let (left, right) = (table(3_000, 3, 1), table(700, 2, 2));
+        for q in [
             DbQuery::FilterCount {
-                pred: DbPredicate::Or(vec![
-                    DbPredicate::CmpInt { col: 4, op: IntCmp::Gt, lit: 800 },
-                    DbPredicate::And(vec![
-                        DbPredicate::CmpInt { col: 1, op: IntCmp::Lt, lit: 2_000 },
-                        DbPredicate::Like { col: 2, pattern: LikePattern::parse("key-1%") },
-                    ]),
+                pred: DbPredicate::And(vec![
+                    DbPredicate::CmpInt { col: 1, op: IntCmp::Lt, lit: 2_000 },
+                    DbPredicate::Like { col: 0, pattern: LikePattern::parse("key-1%") },
                 ]),
             },
-            DbQuery::Distinct { col: 2 },
-            DbQuery::Skyline { cols: vec![4, 1, 4] },
-            DbQuery::TopN { order_col: 3, n: 9 },
-            DbQuery::GroupByMax { key_col: 2, val_col: 4 },
-            DbQuery::Join { left_key: 0, right_key: 2 },
-            DbQuery::HavingSum { key_col: 0, val_col: 3, threshold: 30_000 },
-        ];
-        for q in queries {
+            DbQuery::Skyline { cols: vec![2, 1, 2] },
+            DbQuery::Join { left_key: 0, right_key: 0 },
+            DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 30_000 },
+        ] {
             let right_of = q.is_binary().then(|| Arc::clone(&right));
-            let request = || {
-                let req = QueryRequest::new(q.clone(), Arc::clone(&left));
-                match &right_of {
-                    Some(r) => req.with_right(Arc::clone(r)),
-                    None => req,
+            let spec = Sharding::Fixed(ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash));
+            let seed = cluster.tuning.seed;
+            let routed = route_once(&q, &left, right_of.as_deref(), seed, spec, None);
+            for arm in PathChooser::ARMS {
+                let cluster = cluster.clone().with_backend(arm.backend);
+                let (output, _, direct, stats) = run_arm(&cluster, &routed, arm).unwrap();
+                assert_eq!(output, cluster.run_baseline(&q, &left, right_of.as_deref()).output);
+                let mut req = QueryRequest::new(q.clone(), Arc::clone(&left));
+                if let Some(r) = &right_of {
+                    req = req.with_right(Arc::clone(r));
                 }
-            };
-            let plan = ShardPlanner::default().plan(&q, &left, right_of.as_deref(), seed);
-            let decision = PlanDecision::Planned(plan.partitioner());
-            // The full-width reference: every column routed, the query
-            // as written.
-            let split = |stream: usize, t: &Table| -> Vec<Arc<Table>> {
-                let keys = routing_keys(&q, stream, t, seed);
-                route_range(t, &keys, &plan.sharder, 0, t.rows())
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect()
-            };
-            let full_left = split(0, &left);
-            let full_right = right_of.as_deref().map(|r| split(1, r));
-            let entry = build_layout(
-                &session.shared,
-                &request(),
-                seed,
-                &decision,
-                Some(Arc::new(plan.clone())),
-                1,
-                None,
-            );
-            assert!(entry.left_slices[0].fields().len() < left.fields().len(), "{q:?}");
-            for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                let cluster = cluster.clone().with_backend(backend);
-                let full = cluster
-                    .run_cheetah_presplit(
-                        &q,
-                        &full_left,
-                        full_right.as_deref(),
-                        &ingest,
-                        decision,
-                        Some(plan.clone()),
-                    )
-                    .unwrap();
-                let full_entries: Vec<u64> =
-                    full.per_shard.iter().map(|s| s.entries_to_master).collect();
-                for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
-                    let arm = ChooserArm { path, backend };
-                    let what = format!("{} on {}", q.kind(), arm.label());
-                    let (output, per_shard, _, stats) =
-                        run_arm(&cluster, &ingest, &entry, arm).unwrap();
-                    assert_eq!(output, full.output, "{what}");
-                    assert_eq!(stats, full.switch_stats, "{what}");
-                    let entries: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
-                    assert_eq!(entries, full_entries, "{what}");
-                    // The front door itself, pinned to this arm.
-                    let resp = session.run_blocking(request().path(path).backend(backend)).unwrap();
-                    assert_eq!(resp.output, full.output, "session {what}");
-                    assert_eq!(resp.switch_stats, full.switch_stats, "session {what}");
-                    assert_eq!(resp.breakdown.entries_to_master, full.breakdown.entries_to_master);
-                }
+                let req = req.path(arm.path).backend(arm.backend).shards(3);
+                let resp = session.run_blocking(req).unwrap();
+                let what = format!("{} on {}", q.kind(), arm.label());
+                assert_eq!(resp.output, output, "{what}");
+                assert_eq!(resp.switch_stats, stats, "{what}");
+                assert_eq!(resp.breakdown.entries_to_master, direct.entries_to_master, "{what}");
             }
         }
     }
 
     #[test]
-    fn a_layout_for_a_query_reading_no_column_keeps_every_row() {
-        // An empty conjunction reads no column. A projection to no column
-        // would carry no rows, so the layout keeps the full width.
-        let cluster = Cluster::default();
-        let t = wide_table(900, 2, 3);
-        let session = Session::new(cluster.clone(), SessionConfig::default());
-        let q = DbQuery::FilterCount { pred: DbPredicate::And(Vec::new()) };
-        assert!(q.columns_read(0).is_empty());
-        let entry = build_layout(
-            &session.shared,
-            &QueryRequest::new(q, Arc::clone(&t)).shards(3),
-            cluster.tuning.seed,
-            &PlanDecision::Fixed(cheetah_core::ShardPartitioner::Hash),
-            None,
-            0,
-            None,
+    fn malformed_requests_are_refused_before_any_driver_runs_them() {
+        let t = table(300, 1, 4);
+        let session = Session::new(
+            Cluster::default(),
+            SessionConfig { drivers: 1, ..SessionConfig::default() },
         );
-        assert_eq!(entry.left_slices.iter().map(|s| s.rows()).sum::<usize>(), 900);
-        assert_eq!(entry.left_slices[0].fields(), t.fields());
+        let bad = || QueryRequest::new(DbQuery::Distinct { col: 9 }, Arc::clone(&t));
+        assert!(matches!(session.run_blocking(bad()), Err(Error::InvalidRequest { .. })));
+        // More malformed submissions than drivers: none may reach one.
+        for _ in 0..3 {
+            assert!(matches!(session.submit(bad()), Err(Error::InvalidRequest { .. })));
+        }
+        let empty = DbQuery::FilterCount { pred: DbPredicate::And(Vec::new()) };
+        let err = session.run_blocking(QueryRequest::new(empty, Arc::clone(&t))).unwrap_err();
+        assert!(err.to_string().contains("no column"), "{err}");
+        // The lone driver is alive and the session answers.
+        let ok = QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
+        assert!(session.submit(ok).unwrap().wait().is_ok());
+        let stats = session.stats();
+        assert_eq!((stats.completed, stats.rejected, stats.plan_misses), (1, 0, 1));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! * [`net`] — the Cheetah wire format and the §7.2 reliability protocol
 //!   (the switch ACKs what it prunes) over a fault-injected link
 //!   simulator;
-//! * [`runtime`] — the event-driven streamed shard runtime: overlapped
-//!   incremental master merge, cross-shard survivor batching, and
-//!   supervised mid-run re-planning;
+//! * [`runtime`] — route a query's tables once into resident shard
+//!   slices, then run them on the pooled barrier executor or the
+//!   streamed one (overlapped incremental master merge, cross-shard
+//!   survivor batching);
 //! * [`workloads`] — seeded generators for the Big Data benchmark, a
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the
@@ -54,7 +55,7 @@
 //! let table = Arc::new(b.build());
 //!
 //! // SELECT DISTINCT seller — the Spark-like baseline vs the serving
-//! // plane's switch-pruned path (the session picks the execution twin).
+//! // plane's switch-pruned path (the session picks the executor).
 //! let cluster = Cluster::default();
 //! let q = DbQuery::Distinct { col: 0 };
 //! let spark = cluster.run_baseline(&q, &table, None);
