@@ -29,7 +29,7 @@ CROSSOVER_BASELINE ?= ci/crossover_baseline.json
 # itself is gated exactly (it may only ever move down).
 CROSSOVER_TOLERANCE ?= 0.35
 
-.PHONY: build test lint docs bench-compile bench-smoke bench-crossover frontbench-check shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate
+.PHONY: build test lint docs examples bench-compile bench-smoke bench-crossover frontbench-check shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate
 
 build:
 	cargo build --release
@@ -43,6 +43,13 @@ lint:
 
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# The two examples that assert their answers: quickstart (every query
+# identical on the baseline and Cheetah paths) and reliability_demo
+# (DISTINCT exact over the lossy rack). `cargo test` only compiles them.
+examples:
+	cargo run --release --example quickstart
+	cargo run --release --example reliability_demo
 
 # All criterion benches (incl. the sharding bench) must keep compiling.
 bench-compile:

@@ -1,6 +1,6 @@
 //! Fabric experiment — goodput and recovery cost vs drop rate.
 //!
-//! The simulated worker→switch→master fabric of [`cheetah_net::fabric`]
+//! The simulated worker→switch→master rack of [`cheetah_net::rack`]
 //! carries a fixed survivor workload while the links get progressively
 //! worse. Goodput (application bytes per simulated second, delivered
 //! exactly once to the merge plane) degrades gracefully because the
@@ -10,7 +10,7 @@
 
 use crate::{Report, RunCtx};
 use bytes::Bytes;
-use cheetah_net::{emit_batch, FabricConfig, FabricSim, FaultProfile};
+use cheetah_net::{emit_batch, FaultProfile, RackConfig, RackSim};
 
 /// Worker flows feeding the switch.
 const SHARDS: usize = 4;
@@ -55,10 +55,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             dup_prob: drop / 4.0,
             jitter_ns: if drop == 0.0 { 0 } else { 2_000 },
         };
-        let cfg =
-            FabricConfig { faults, seed: 0xFAB + (drop * 100.0) as u64, ..Default::default() };
+        let cfg = RackConfig { faults, seed: 0xFAB + (drop * 100.0) as u64, ..Default::default() };
         let mut delivered = 0u64;
-        let report = FabricSim::new(cfg, streams.clone()).run(|_| delivered += 1);
+        let report = RackSim::frames(cfg, streams.clone()).run(|_| delivered += 1);
         r.row(vec![
             format!("{drop:.2}"),
             format!("{:.1}", report.goodput_bps / 1e6),

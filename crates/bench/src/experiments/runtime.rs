@@ -8,7 +8,7 @@
 //! single survivor, while the streamed executor folds early shards'
 //! batches behind the straggler. The barrier runs a `route_once` layout;
 //! the streamed executor runs the same routing cut into input rounds
-//! ([`round_layout`]; one round for a key-holistic query), so survivors
+//! (`route_rounds`; one round for a key-holistic query), so survivors
 //! reach the master while workers are still pruning.
 //!
 //! Two bars are asserted inline on every run, mirroring the acceptance
@@ -19,11 +19,11 @@
 //! while workers were still pruning.
 
 use crate::report::secs;
-use crate::{round_layout, STREAMED_ROUNDS};
+use crate::{streamed_rounds, STREAMED_ROUNDS};
 use crate::{Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec, ShardedRun};
-use cheetah_runtime::{route_once, Sharding, StreamedExecution, StreamedRun};
+use cheetah_runtime::{route_once, route_rounds, Sharding, StreamedExecution, StreamedRun};
 use cheetah_workloads::PlannerAdversary;
 
 const LINK_GBPS: f64 = 10.0;
@@ -71,7 +71,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         for (name, q) in &families {
             let single = cluster.run_cheetah(q, &table, None).expect("plan fits");
             let routed = route_once(q, &table, None, seed, Sharding::Fixed(spec), None);
-            let layout = round_layout(q, &table, None, seed, spec);
+            let layout = route_rounds(q, &table, None, seed, spec, streamed_rounds(q));
             let run_streamed = || cluster.run_cheetah_streamed_resident(q, &layout);
 
             let mut barrier = routed.run_pooled(&cluster).expect("plan fits");

@@ -36,44 +36,21 @@ pub use report::Report;
 pub use smoke::{run_smoke, SmokeFamily, SmokeReport};
 pub use workload::{ArrivalMode, ServingWorkload, TenantSpec};
 
-use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, DbQuery, PlanDecision, ShardSpec, Table,
-};
-use cheetah_runtime::StreamLayout;
-use std::sync::Arc;
+use cheetah_db::DbQuery;
 
 /// Input rounds of a harness-built streamed layout for routing-agnostic
 /// families; key-holistic families run one.
 pub const STREAMED_ROUNDS: usize = 4;
 
-/// The streamed layout the harness times: `left` cut into
-/// [`STREAMED_ROUNDS`] equal row windows (one for a key-holistic `q`),
-/// each routed under the fixed `spec`, with the right stream of a binary
-/// query riding round 0. Full-width slices, routed by the same keys and
-/// sharder as a one-round `route_once` layout under `spec`. Rounds give
-/// the merge plane survivors to fold while workers are still pruning.
-pub fn round_layout(
-    q: &DbQuery,
-    left: &Table,
-    right: Option<&Table>,
-    seed: u64,
-    spec: ShardSpec,
-) -> StreamLayout {
-    let rounds = if q.merge_routing_agnostic() { STREAMED_ROUNDS } else { 1 };
-    let left_keys = routing_keys(q, 0, left, seed);
-    let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-    let key_slices: Vec<&[u64]> =
-        std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-    let sharder = fixed_sharder(&spec, seed, &key_slices);
-    let split = |t: &Table, keys: &[u64], lo: usize, hi: usize| -> Vec<Arc<Table>> {
-        route_range(t, keys, &sharder, lo, hi).into_iter().map(Arc::new).collect()
-    };
-    let units = (0..rounds)
-        .map(|r| split(left, &left_keys, r * left.rows() / rounds, (r + 1) * left.rows() / rounds))
-        .collect();
-    let right_units = right.zip(right_keys.as_deref()).map(|(r, k)| split(r, k, 0, r.rows()));
-    let decision = PlanDecision::Fixed(spec.partitioner);
-    StreamLayout::from_units(units, right_units, spec.ingest, decision, None, None, None)
+/// The input rounds the harness cuts `q`'s streamed layout into
+/// (`cheetah_runtime::route_rounds`): [`STREAMED_ROUNDS`], or one for a
+/// key-holistic `q`.
+pub fn streamed_rounds(q: &DbQuery) -> usize {
+    if q.merge_routing_agnostic() {
+        STREAMED_ROUNDS
+    } else {
+        1
+    }
 }
 
 /// Experiment scale.

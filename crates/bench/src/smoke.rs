@@ -20,13 +20,15 @@
 //! serde stand-in has no serializer; the parser only promises to read
 //! what [`SmokeReport::to_json`] writes.
 
-use crate::round_layout;
+use crate::streamed_rounds;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
     Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec, Table,
 };
 use cheetah_net::ENTRY_WIRE_BYTES;
-use cheetah_runtime::{route_once, FaultSpec, Sharding, StreamLayout, StreamedExecution};
+use cheetah_runtime::{
+    route_once, route_rounds, FaultSpec, Sharding, StreamLayout, StreamedExecution,
+};
 use cheetah_serve::{QueryRequest, Session, SessionConfig};
 use cheetah_telemetry::{Registry, Trace};
 use cheetah_workloads::SkewedTableConfig;
@@ -272,7 +274,7 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         }));
         // The streamed executor under the same fixed spec: survivor
         // batches over bounded channels into the incremental merge, the
-        // input cut into rounds by [`round_layout`]. Its pruning counters
+        // input cut into rounds by `route_rounds`. Its pruning counters
         // are deterministic like every other row (input rounds change
         // *which* duplicates the per-round switch programs see, so its
         // floor differs from @shards — that is recorded in the baseline,
@@ -281,7 +283,7 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         // layout (keys, sharder fit, per-round routing) is resident: it
         // is built once here and the timed region pays only dispatch,
         // per-shard pruning, framing, and the incremental merge.
-        let layout = round_layout(&q, &left, right_of, seed, spec);
+        let layout = route_rounds(&q, &left, right_of, seed, spec, streamed_rounds(&q));
         families.push(measure_family(format!("{name}@streamed"), input_rows, reps, || {
             let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("fits");
             (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)

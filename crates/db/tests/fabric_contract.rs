@@ -15,7 +15,7 @@
 //!    finished *under* it (`!truncated`), so the exhaustiveness claim
 //!    is checked, not assumed.
 //! 2. **Simulated fabric** — the same real-query frames ride
-//!    [`FabricSim`]'s discrete-event worker→switch→master topology at
+//!    [`RackSim`]'s discrete-event worker→switch→master topology at
 //!    [`FaultProfile::harsh`], with the §7.2 reliability machines doing
 //!    the recovery. Same seed ⇒ bit-identical report (retransmit counts
 //!    included); the merged output still equals the baseline.
@@ -31,7 +31,7 @@ use cheetah_db::{
     decompose_output, Cluster, DbQuery, MergeState, QueryOutput, ShardPartitioner, ShardSpec, Table,
 };
 use cheetah_net::{
-    emit_batch, explore, CheckerConfig, FabricConfig, FabricSim, FaultProfile, SurvivorBatch,
+    emit_batch, explore, CheckerConfig, FaultProfile, RackConfig, RackSim, SurvivorBatch,
 };
 use cheetah_runtime::{
     route_once, FaultSpec, RoutedLayout, Sharding, StreamLayout, StreamedExecution,
@@ -161,10 +161,10 @@ fn harsh_fabric_delivers_exactly_and_is_seed_deterministic() {
         let expected = fold_in_order(&routed.query, &frames);
         assert_eq!(expected, cluster.run_baseline(&q, &left, None).output, "{}", q.kind());
         let run_once = || {
-            let cfg = FabricConfig { faults: FaultProfile::harsh(), ..FabricConfig::default() };
+            let cfg = RackConfig { faults: FaultProfile::harsh(), ..RackConfig::default() };
             let mut st = MergeState::new(&routed.query);
-            let report = FabricSim::new(cfg, frames.clone()).run(|batch| {
-                st.ingest_survivor_batch(batch).expect("merge item round-trips");
+            let report = RackSim::frames(cfg, frames.clone()).run(|batch| {
+                st.ingest_survivor_batch(&batch).expect("merge item round-trips");
             });
             (report, st.finish())
         };

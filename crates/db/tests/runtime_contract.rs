@@ -22,12 +22,10 @@ use common::{all_seven, gen_table};
 
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, Cluster, DataType, DbQuery, PlanDecision,
-    QueryOutput, ShardPlanner, ShardSpec, Table, TableBuilder,
+    Cluster, DataType, DbQuery, QueryOutput, ShardPlanner, ShardSpec, Table, TableBuilder,
 };
-use cheetah_runtime::{route_once, Sharding, StreamLayout, StreamedExecution};
+use cheetah_runtime::{route_once, route_rounds, Sharding, StreamedExecution};
 use cheetah_workloads::PlannerAdversary;
-use std::sync::Arc;
 
 /// The full variant grid over one workload pair under one sharding.
 fn assert_streamed_contract(
@@ -97,40 +95,16 @@ fn streamed_planned_layout_matches_baseline_too() {
 // Input rounds
 // ---------------------------------------------------------------------
 
-/// `t` cut into `rounds` equal row windows, each routed under a fixed
-/// `shards`-way `partitioner`: a multi-round layout over full-width
-/// slices, the way a caller cuts one by hand.
-fn rounds_layout(
-    cluster: &Cluster,
-    q: &DbQuery,
-    t: &Table,
-    shards: usize,
-    partitioner: ShardPartitioner,
-    rounds: usize,
-) -> StreamLayout {
-    let seed = cluster.tuning.seed;
-    let spec = ShardSpec::new(shards, partitioner);
-    let keys = routing_keys(q, 0, t, seed);
-    let sharder = fixed_sharder(&spec, seed, &[&keys]);
-    let units = (0..rounds)
-        .map(|r| {
-            let (lo, hi) = (r * t.rows() / rounds, (r + 1) * t.rows() / rounds);
-            route_range(t, &keys, &sharder, lo, hi).into_iter().map(Arc::new).collect()
-        })
-        .collect();
-    let decision = PlanDecision::Fixed(partitioner);
-    StreamLayout::from_units(units, None, spec.ingest, decision, None, None, None)
-}
-
 #[test]
 fn multi_round_layouts_merge_exactly_for_routing_agnostic_families() {
     let cluster = Cluster::default();
+    let seed = cluster.tuning.seed;
     for adv in [PlannerAdversary::Uniform, PlannerAdversary::Zipf(1.5)] {
         let t = adv.table(1_200, 3, 0x20D5);
         for q in all_seven(9_000).into_iter().filter(DbQuery::merge_routing_agnostic) {
             let base = cluster.run_baseline(&q, &t, None);
             for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-                let layout = rounds_layout(&cluster, &q, &t, 3, partitioner, 4);
+                let layout = route_rounds(&q, &t, None, seed, ShardSpec::new(3, partitioner), 4);
                 assert_eq!(layout.rounds(), 4);
                 let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("fits");
                 let label = format!("{} on {} × {}", q.kind(), adv.name(), partitioner.name());
@@ -149,8 +123,9 @@ fn key_holistic_families_refuse_a_multi_round_layout() {
     // whole): the executor must refuse the layout, not answer wrongly.
     let cluster = Cluster::default();
     let t = gen_table(2_000, 40, 3, 0x4A11);
+    let spec = ShardSpec::new(2, ShardPartitioner::Hash);
     for q in all_seven(500).into_iter().filter(|q| !q.merge_routing_agnostic()) {
-        let layout = rounds_layout(&cluster, &q, &t, 2, ShardPartitioner::Hash, 2);
+        let layout = route_rounds(&q, &t, None, cluster.tuning.seed, spec, 2);
         let run = cluster.run_cheetah_streamed_resident(&q, &layout);
         let err = run.expect_err("a key-holistic query must refuse a two-round layout");
         assert!(err.to_string().contains("2 input rounds"), "{}: {err}", q.kind());
@@ -209,7 +184,7 @@ fn empty_and_tiny_tables_stream_cleanly() {
     // and skipped, yet nothing is lost.
     let tiny = PlannerAdversary::Uniform.table(3, 1, 5);
     let q = DbQuery::TopN { order_col: 1, n: 2 };
-    let layout = rounds_layout(&cluster, &q, &tiny, 7, ShardPartitioner::Hash, 4);
+    let layout = route_rounds(&q, &tiny, None, seed, ShardSpec::new(7, ShardPartitioner::Hash), 4);
     let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("plan fits");
     assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
     assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 3);

@@ -116,11 +116,6 @@ impl Link {
         }
     }
 
-    /// Convenience: a 10-gigabit link with 1 µs latency.
-    pub fn ten_gig(seed: u64) -> Self {
-        Self::new(10e9, 1_000, FaultProfile::lossless(), seed)
-    }
-
     /// Transmit a packet at `now`: the link serializes it (bytes padded
     /// with frame overhead by the caller via `wire_bytes`), applies
     /// faults, and reports every copy that arrives — zero for a drop,
@@ -162,11 +157,6 @@ impl Link {
         } else {
             self.rng.next_u64() % self.faults.jitter_ns
         }
-    }
-
-    /// The time until which this link is serializing.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 }
 
@@ -278,6 +268,6 @@ mod tests {
             slow.transmit(0, Bytes::from_static(b"p"), 125);
             fast.transmit(0, Bytes::from_static(b"p"), 125);
         }
-        assert!(fast.busy_until() * 9 < slow.busy_until());
+        assert!(fast.busy_until * 9 < slow.busy_until);
     }
 }

@@ -1,6 +1,6 @@
 //! A dslab-mp-style bounded model checker for the merge plane.
 //!
-//! [`crate::fabric`] samples one fault pattern per seed; this module
+//! [`crate::rack`] samples one fault pattern per seed; this module
 //! *exhausts* them. [`explore`] enumerates every delivery schedule of a
 //! small message set — per-flow FIFO delivery, plus drop and duplication
 //! actions up to explicit budgets — and invokes a visitor with each

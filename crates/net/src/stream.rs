@@ -34,7 +34,7 @@
 //! [`WireError`]s, never panics — the same defensive discipline as the
 //! entry packets of [`crate::wire`].
 
-use crate::wire::{checksum, WireError};
+use crate::wire::{checksum, encapsulated_bytes, WireError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Frame type discriminant. The entry packets use 1–4 and the legacy
@@ -157,7 +157,7 @@ impl SurvivorBatch {
     ///
     /// [`Packet::wire_bytes`]: crate::wire::Packet::wire_bytes
     pub fn wire_bytes(&self) -> u64 {
-        ((HEADER_BYTES + self.arena.len() + 4 * self.count + 2) as u64 + 42).max(64)
+        encapsulated_bytes(HEADER_BYTES + self.arena.len() + 4 * self.count + 2)
     }
 }
 

@@ -125,6 +125,14 @@ pub(crate) fn checksum(bytes: &[u8]) -> u16 {
     !(sum as u16)
 }
 
+/// Bytes `payload_len` bytes of Cheetah payload occupy on the wire: 42
+/// bytes of Ethernet/IP/UDP encapsulation, padded to the 64-byte minimum
+/// Ethernet frame. Shared by packets, survivor frames and the rack
+/// simulator's links.
+pub(crate) fn encapsulated_bytes(payload_len: usize) -> u64 {
+    (payload_len as u64 + 42).max(64)
+}
+
 impl Packet {
     /// Serialize, appending a trailing checksum.
     pub fn emit(&self) -> Bytes {
@@ -226,8 +234,7 @@ impl Packet {
     /// overhead (42 bytes of encapsulation + the Cheetah payload, padded
     /// to the 64-byte minimum Ethernet frame).
     pub fn wire_bytes(&self) -> u64 {
-        let payload = self.emit().len() as u64;
-        (payload + 42).max(64)
+        encapsulated_bytes(self.emit().len())
     }
 }
 

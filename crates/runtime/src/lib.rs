@@ -87,5 +87,5 @@ pub mod route;
 pub mod runtime;
 
 pub use pool::{PooledExecution, WorkerPool, WorkerScratch};
-pub use route::{route_once, RoutedLayout, RoutingKeys, Sharding};
+pub use route::{route_once, route_rounds, RoutedLayout, RoutingKeys, Sharding};
 pub use runtime::{FaultSpec, StreamLayout, StreamedExecution, StreamedRun};

@@ -18,14 +18,15 @@
 //! as needed: [`RoutedLayout::run_pooled`] (barrier) or
 //! [`RoutedLayout::run_streamed`] (overlapped merge). The serving
 //! session, the contract gates, the bench harness and the benches all
-//! route this way.
+//! route this way. [`route_rounds`] cuts the same routing into several
+//! input rounds for the streamed executor.
 
 use crate::pool::PooledExecution;
 use crate::runtime::{StreamLayout, StreamedExecution, StreamedRun};
 use cheetah_core::plan::{PlanDecision, ShardPlan};
 use cheetah_db::{
-    fixed_sharder, route_range_projected, routing_keys, Cluster, DbQuery, MasterIngestModel,
-    ShardPlanner, ShardSpec, ShardedRun, Table,
+    fixed_sharder, route_range, route_range_projected, routing_keys, Cluster, DbQuery,
+    MasterIngestModel, ShardPlanner, ShardSpec, ShardedRun, Table,
 };
 use std::sync::Arc;
 
@@ -181,6 +182,37 @@ pub fn route_once(
         decision,
         plan,
     }
+}
+
+/// Route `q`'s tables under the fixed `spec` into a streamed layout of
+/// `rounds` input rounds: `left` cut into `rounds` equal row windows,
+/// each routed by the same keys and sharder as a one-round
+/// [`route_once`] under `spec`, with the right stream of a binary `q`
+/// riding round 0. The slices are full width, so the layout runs `q` as
+/// written. Rounds give the merge plane survivors to fold while workers
+/// are still pruning; only routing-agnostic queries
+/// ([`DbQuery::merge_routing_agnostic`]) may run more than one.
+pub fn route_rounds(
+    q: &DbQuery,
+    left: &Table,
+    right: Option<&Table>,
+    seed: u64,
+    spec: ShardSpec,
+    rounds: usize,
+) -> StreamLayout {
+    let keys = RoutingKeys::derive(q, left, right, seed);
+    let sharder = fixed_sharder(&spec, seed, &keys.slices());
+    let split = |t: &Table, keys: &[u64], lo: usize, hi: usize| -> Vec<Arc<Table>> {
+        route_range(t, keys, &sharder, lo, hi).into_iter().map(Arc::new).collect()
+    };
+    let n = left.rows();
+    let units = (0..rounds).map(|r| split(left, &keys.left, r * n / rounds, (r + 1) * n / rounds));
+    let right_units = right
+        .filter(|_| q.is_binary())
+        .zip(keys.right.as_deref())
+        .map(|(r, rk)| split(r, rk, 0, r.rows()));
+    let decision = PlanDecision::Fixed(spec.partitioner);
+    StreamLayout::from_units(units.collect(), right_units, spec.ingest, decision, None, None, None)
 }
 
 #[cfg(test)]

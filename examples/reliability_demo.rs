@@ -1,12 +1,13 @@
 //! The §7.2 reliability protocol under fire.
 //!
-//! Streams a DISTINCT query through the simulated rack while the links
-//! drop and corrupt packets (smoltcp-style fault injection). The switch
-//! ACKs every packet it prunes — that is how a worker tells "pruned" from
-//! "lost" — retransmissions of already-pruned packets are forwarded
-//! unprocessed (`Y ≤ X`), and gap packets wait for retransmission
-//! (`Y > X+1`). At the end the master's DISTINCT output is verified
-//! identical to the lossless ground truth.
+//! Streams a DISTINCT query through the simulated rack (`RackSim` carrying
+//! one entry per packet) while the links drop and corrupt packets
+//! (smoltcp-style fault injection). The switch ACKs every packet it
+//! prunes — that is how a worker tells "pruned" from "lost" —
+//! retransmissions of already-pruned packets are forwarded unprocessed
+//! (`Y ≤ X`), and gap packets wait for retransmission (`Y > X+1`). At the
+//! end the master's DISTINCT output is verified identical to the lossless
+//! ground truth.
 //!
 //! ```sh
 //! cargo run --release --example reliability_demo            # 10% drop, 5% corrupt
@@ -14,7 +15,7 @@
 //! ```
 
 use cheetah::algorithms::{DistinctConfig, DistinctPruner, EvictionPolicy};
-use cheetah::net::{FaultProfile, TransferConfig, TransferSim};
+use cheetah::net::{FaultProfile, RackConfig, RackSim};
 use cheetah::switch::hash::mix64;
 use cheetah::switch::{PacketRef, ResourceLedger, SwitchProfile, SwitchProgram};
 use std::collections::HashSet;
@@ -55,40 +56,43 @@ fn main() {
     .expect("fits");
     let mut epoch = 0u64;
 
-    let cfg = TransferConfig {
+    let cfg = RackConfig {
         faults: FaultProfile {
             drop_prob: drop_pct / 100.0,
             corrupt_prob: corrupt_pct / 100.0,
             ..FaultProfile::lossless()
         },
         rto_ns: 300_000,
+        window: Some(64),
+        seed: 0x7AB5,
         ..Default::default()
     };
     println!(
         "transfer: {workers} workers × {per_worker} entries, {drop_pct}% drop, {corrupt_pct}% corrupt\n"
     );
-    let report = TransferSim::new(cfg, streams, move |fid, values| {
+    // The master completes the DISTINCT query from whatever arrives —
+    // any superset of the unpruned entries yields the same output.
+    let mut master_distinct: HashSet<u64> = HashSet::new();
+    let report = RackSim::entries(cfg, streams, move |fid, values| {
         epoch += 1;
         pruner
             .on_packet(PacketRef { epoch, fid, values })
             .expect("pruner obeys the execution model")
     })
-    .run();
+    .run(|entry| {
+        master_distinct.insert(entry.values[0]);
+    });
 
     assert!(report.completed, "transfer must terminate despite the losses");
     println!("completed in {:.3} simulated seconds", report.sim_seconds);
-    println!("  delivered (unique)   : {}", report.delivered_unique());
+    println!("  delivered (unique)   : {}", report.delivered);
     println!("  switch prune-ACKs    : {}", report.switch_acks);
     println!("  retransmissions      : {}", report.retransmissions);
     println!("  stale forwards (Y≤X) : {}", report.forwarded_stale);
     println!("  gap drops (Y>X+1)    : {}", report.dropped_ahead);
     println!("  checksum rejections  : {}", report.malformed);
-    println!("  master dedups        : {}", report.master_duplicates);
+    println!("  master dedups        : {}", report.duplicates);
 
-    // The master completes the DISTINCT query from whatever arrived —
-    // any superset of the unpruned entries yields the same output.
-    let master_distinct: HashSet<u64> =
-        report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
     assert_eq!(master_distinct, ground_truth, "DISTINCT output must survive the losses");
     println!(
         "\nmaster DISTINCT output: {} values — identical to the lossless ground truth ✓",

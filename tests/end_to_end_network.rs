@@ -1,5 +1,6 @@
 //! Full-stack integration: query → CWorker serialization → lossy network →
-//! switch pruning with the §7.2 reliability protocol → master completion.
+//! switch pruning with the §7.2 reliability protocol → master completion,
+//! over the rack simulator's entry channel (`RackSim::entries`).
 //!
 //! The headline guarantee (§7.2): *"the protocol maintains the correctness
 //! of the execution even if some pruned packets are lost and the
@@ -10,7 +11,7 @@ use cheetah::algorithms::{
     AggKind, DistinctConfig, DistinctPruner, EvictionPolicy, GroupByConfig, GroupByPruner,
     TopNRandConfig, TopNRandPruner,
 };
-use cheetah::net::{FaultProfile, TransferConfig, TransferSim};
+use cheetah::net::{FaultProfile, RackConfig, RackReport, RackSim};
 use cheetah::switch::hash::mix64;
 use cheetah::switch::{PacketRef, ResourceLedger, SwitchProfile, SwitchProgram};
 use std::collections::{HashMap, HashSet};
@@ -19,27 +20,35 @@ fn ledger() -> ResourceLedger {
     ResourceLedger::new(SwitchProfile::tofino2())
 }
 
-fn lossy(seed: u64) -> TransferConfig {
-    TransferConfig {
+/// The entry channel these tests run on: a 64-entry window, seed 0x7AB5.
+fn channel() -> RackConfig {
+    RackConfig { window: Some(64), seed: 0x7AB5, ..Default::default() }
+}
+
+fn lossy(seed: u64) -> RackConfig {
+    RackConfig {
         faults: FaultProfile { drop_prob: 0.12, corrupt_prob: 0.06, ..FaultProfile::lossless() },
         rto_ns: 250_000,
         seed,
-        ..Default::default()
+        ..channel()
     }
 }
 
-/// Drive a program through the transfer sim.
+/// Drive a program through the rack sim: the report, plus the values of
+/// every entry the master accepted.
 fn transfer<P: SwitchProgram>(
-    cfg: TransferConfig,
+    cfg: RackConfig,
     streams: Vec<Vec<Vec<u64>>>,
     mut program: P,
-) -> cheetah::net::TransferReport {
+) -> (RackReport, Vec<Vec<u64>>) {
     let mut epoch = 0u64;
-    TransferSim::new(cfg, streams, move |fid, values| {
+    let mut delivered = Vec::new();
+    let report = RackSim::entries(cfg, streams, move |fid, values| {
         epoch += 1;
         program.on_packet(PacketRef { epoch, fid, values }).expect("model violation")
     })
-    .run()
+    .run(|entry| delivered.push(entry.values));
+    (report, delivered)
 }
 
 #[test]
@@ -69,10 +78,9 @@ fn distinct_over_lossy_network_is_exact() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(lossy(0xE2E1), streams, program);
+    let (report, delivered) = transfer(lossy(0xE2E1), streams, program);
     assert!(report.completed);
-    let got: HashSet<u64> =
-        report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
+    let got: HashSet<u64> = delivered.iter().map(|v| v[0]).collect();
     assert_eq!(got, truth, "DISTINCT output diverged under loss");
     assert!(report.retransmissions > 0, "the loss must actually have been exercised");
 }
@@ -105,11 +113,11 @@ fn groupby_max_over_lossy_network_is_exact() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(lossy(0xE2E2), streams, program);
+    let (report, delivered) = transfer(lossy(0xE2E2), streams, program);
     assert!(report.completed);
     // Master-side completion: MAX over whatever was delivered.
     let mut got: HashMap<u64, u64> = HashMap::new();
-    for v in report.delivered.values().flat_map(|m| m.values()) {
+    for v in &delivered {
         let e = got.entry(v[0]).or_insert(0);
         *e = (*e).max(v[1]);
     }
@@ -138,10 +146,9 @@ fn topn_over_lossy_network_keeps_the_top() {
     let program =
         TopNRandPruner::build(TopNRandConfig { rows: 512, cols: 8, seed: 6 }, &mut ledger())
             .unwrap();
-    let report = transfer(lossy(0xE2E3), streams, program);
+    let (report, delivered) = transfer(lossy(0xE2E3), streams, program);
     assert!(report.completed);
-    let mut got: Vec<u64> =
-        report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
+    let mut got: Vec<u64> = delivered.iter().map(|v| v[0]).collect();
     got.sort_unstable_by(|a, b| b.cmp(a));
     got.truncate(n);
     assert_eq!(got, truth, "TOP N diverged under loss");
@@ -156,11 +163,11 @@ fn reliability_overhead_is_bounded_under_light_loss() {
     let per = 5_000u64;
     let streams: Vec<Vec<Vec<u64>>> =
         (0..workers).map(|w| (0..per).map(|i| vec![(w as u64) << 32 | i]).collect()).collect();
-    let cfg = TransferConfig {
+    let cfg = RackConfig {
         faults: FaultProfile { drop_prob: 0.02, corrupt_prob: 0.0, ..FaultProfile::lossless() },
         rto_ns: 150_000,
-        window: 32,
-        ..Default::default()
+        window: Some(32),
+        ..channel()
     };
     let program = DistinctPruner::build(
         DistinctConfig {
@@ -173,7 +180,7 @@ fn reliability_overhead_is_bounded_under_light_loss() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(cfg, streams, program);
+    let (report, _) = transfer(cfg, streams, program);
     assert!(report.completed);
     let total = (workers as u64) * per;
     assert!(
@@ -198,13 +205,13 @@ fn lossless_transfer_has_zero_protocol_overhead() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(TransferConfig::default(), streams, program);
+    let (report, _) = transfer(channel(), streams, program);
     assert!(report.completed);
     assert_eq!(report.retransmissions, 0);
     assert_eq!(report.dropped_ahead, 0);
     assert_eq!(report.forwarded_stale, 0);
     assert_eq!(report.malformed, 0);
-    assert_eq!(report.master_duplicates, 0);
+    assert_eq!(report.duplicates, 0);
     // All 2000 distinct → everything forwarded.
-    assert_eq!(report.delivered_unique(), 2_000);
+    assert_eq!(report.delivered, 2_000);
 }
